@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--epsilon", type=float, default=1e-12,
                     help="outer and inner convergence tolerance")
     ps.add_argument("--max-outer", type=int, default=200)
-    ps.add_argument("--max-inner", type=int, default=10_000)
+    ps.add_argument("--max-inner", type=int, default=10_000,
+                    help="cap on the box prox's BVLS iterations")
     ps.add_argument("--format", choices=("json", "csv", "human"), default="human")
     ps.add_argument("--output", help="write the report here instead of stdout")
     ps.add_argument("--trace", action="store_true", help="include per-iteration traces")

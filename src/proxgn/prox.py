@@ -1,9 +1,11 @@
 """Proximity operators in the variable metric H = A^T A.
 
 The metric prox of a penalty J at z is argmin_v { J(v) + 1/2 ||v - z||_H^2 }.
-For the zero penalty it is the identity.  For box indicators and custom
-penalties it is computed by the projected-gradient (forward-backward)
-inner iteration
+For the zero penalty it is the identity.  For a box indicator it is the
+bounded least-squares problem min ||A(v - z)|| over the box, solved exactly
+by bounded-variable least squares (BVLS, Stark & Parker 1995, extending the
+NNLS method of Lawson & Hanson 1974).  For custom penalties it is computed
+by the projected-gradient (forward-backward) inner iteration
 
     v_{k+1} = P(v_k - sigma * H (v_k - z)),
 
@@ -82,10 +84,14 @@ Penalty = Union[ZeroPenalty, BoxIndicator, CustomProx]
 
 @dataclass(frozen=True)
 class InnerConfig:
-    """Forward-backward loop controls.
+    """Inner solver controls.
 
-    ``step_size`` None selects sigma = 1/||H||; a fixed value must satisfy
-    0 < sigma < 2/||H|| at call time.
+    ``max_iterations`` caps the BVLS iterations of a box prox (one
+    least-squares solve and at most one active-set change each) and the
+    projected-gradient steps of a custom prox.  ``tolerance`` scales the box
+    short-circuit's certificate slack and bounds the last projected-gradient
+    step.  ``step_size`` None selects sigma = 1/||H||; a fixed value must
+    satisfy 0 < sigma < 2/||H|| at call time; only custom proxes use it.
     """
 
     tolerance: float = 1e-12
@@ -103,12 +109,17 @@ class InnerConfig:
 
 @dataclass(frozen=True)
 class ProxOutcome:
-    """Result of a metric-prox evaluation."""
+    """Result of a metric-prox evaluation.
+
+    ``kkt_gap`` is the box certificate ||normal_cone_gap(H(z - p), box, p)||;
+    it is 0 for the zero penalty and NaN for custom penalties.
+    """
 
     point: np.ndarray
     inner_iterations: int
     converged: bool
     final_step_delta: float
+    kkt_gap: float = float("nan")
 
 
 def project_box(z, box: Box) -> np.ndarray:
@@ -159,13 +170,13 @@ def normal_cone_gap(v, box: Box, x, atol: float = 0.0) -> np.ndarray:
 
 
 def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig()) -> ProxOutcome:
-    """Approximate prox_J^H(z) for H = A^T A, A with full column rank.
+    """prox_J^H(z) for H = A^T A, A with full column rank.
 
-    Box penalties start from the clamped point and skip the loop entirely
-    when that point already satisfies the metric optimality certificate
-    H(z - p) in N_box(p); this covers the feasible-z case exactly.
-    Non-convergence within the iteration budget is reported through
-    ``converged``, never raised.
+    Box penalties start from the clamped point and return it with zero inner
+    iterations when it already satisfies the metric optimality certificate
+    H(z - p) in N_box(p); this covers the feasible-z case exactly.  Otherwise
+    BVLS solves the box prox exactly.  Non-convergence within the iteration
+    budget is reported through ``converged``, never raised.
     """
     mat = as_matrix(a)
     point = as_vector(z)
@@ -175,7 +186,7 @@ def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig()) -> Pro
         )
     if isinstance(penalty, ZeroPenalty):
         return ProxOutcome(point=point.copy(), inner_iterations=0, converged=True,
-                           final_step_delta=0.0)
+                           final_step_delta=0.0, kkt_gap=0.0)
 
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals[-1] == 0.0:
@@ -191,12 +202,15 @@ def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig()) -> Pro
         if box.dimension != point.shape[0]:
             raise DimensionMismatchError("box and point dimensions differ")
         start = project_box(point, box)
-        gap = normal_cone_gap(h @ (point - start), box, start)
+        gap = float(np.linalg.norm(normal_cone_gap(h @ (point - start), box, start)))
         # certificate slack tol*sigma_min^2 keeps ||start - prox|| <= tol
-        if float(np.linalg.norm(gap)) <= cfg.tolerance * float(svals[-1]) ** 2:
+        if gap <= cfg.tolerance * float(svals[-1]) ** 2:
             return ProxOutcome(point=start, inner_iterations=0, converged=True,
-                               final_step_delta=0.0)
-        return _forward_backward_box(h, point, start, box, sigma, cfg)
+                               final_step_delta=0.0, kkt_gap=gap)
+        p, k, converged, delta = _bvls(mat, point, start, box, cfg.max_iterations)
+        gap = float(np.linalg.norm(normal_cone_gap(h @ (point - p), box, p)))
+        return ProxOutcome(point=p, inner_iterations=k, converged=converged,
+                           final_step_delta=delta, kkt_gap=gap)
 
     v = point.copy()
     apply_prox = penalty.prox_identity
@@ -212,52 +226,56 @@ def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig()) -> Pro
                        final_step_delta=delta)
 
 
-def _forward_backward_box(h, z, start, box: Box, sigma: float, cfg: InnerConfig) -> ProxOutcome:
-    """Projected-gradient loop for box penalties.
+def _bvls(mat, z, start, box: Box, max_iterations: int):
+    """Bounded-variable least squares: min ||A d|| over d = v - z in the box.
 
-    One step is v <- clip(M v + w) with M = I - sigma*H and w = sigma*H z.
-    M has spectrum inside (-1, 1], so the step map is nonexpansive and the
-    step deltas never increase; the stopping rule is therefore checked once
-    per chunk and the crossing chunk replayed stepwise, which keeps the hot
-    loop at three array operations.
+    Primal active set from the clamped point.  Each iteration solves the
+    least-squares problem on the free set and makes at most one active-set
+    change: a solution that leaves the box is stepped back to the first bound
+    it hits and that variable is fixed; otherwise the bound variable whose
+    multiplier -A^T A d has the wrong sign the most is freed.  The loop stops
+    when no multiplier has the wrong sign, or when a freeing failed to lower
+    ||A d||, which means the sign was rounding noise.  Returns (point,
+    iterations, converged, length of the last move).
     """
-    lo, up = box.lower, box.upper
-    m = -sigma * h
-    m[np.diag_indices_from(m)] += 1.0
-    w = sigma * (h @ z)
-    v = start.copy()
-    nxt = np.empty_like(v)
-    prev = np.empty_like(v)
-    scratch = np.empty_like(v)
-    chunk = 64
-    done = 0
-    delta = np.inf
-    while done < cfg.max_iterations:
-        steps = min(chunk, cfg.max_iterations - done)
-        prev[:] = v
-        for _ in range(steps):
-            np.dot(m, v, out=nxt)
-            nxt += w
-            np.clip(nxt, lo, up, out=nxt)
-            v, nxt = nxt, v
-        done += steps
-        np.subtract(v, nxt, out=scratch)
-        delta = float(np.sqrt(scratch @ scratch))
-        if delta < cfg.tolerance:
-            # replay the chunk to locate the first sub-tolerance step
-            v[:] = prev
-            for j in range(1, steps + 1):
-                np.dot(m, v, out=nxt)
-                nxt += w
-                np.clip(nxt, lo, up, out=nxt)
-                np.subtract(nxt, v, out=scratch)
-                delta = float(np.sqrt(scratch @ scratch))
-                v, nxt = nxt, v
-                if delta < cfg.tolerance:
-                    return ProxOutcome(point=v.copy(), inner_iterations=done - steps + j,
-                                       converged=True, final_step_delta=delta)
-    return ProxOutcome(point=v.copy(), inner_iterations=cfg.max_iterations, converged=False,
-                       final_step_delta=delta)
+    lower, upper = box.lower - z, box.upper - z
+    d = start - z
+    # -1 fixed at the lower bound, +1 at the upper bound, 0 free
+    side = np.where(start <= box.lower, -1, np.where(start >= box.upper, 1, 0))
+    cost = delta = np.inf
+    converged = False
+    for k in range(1, max_iterations + 1):
+        free = np.flatnonzero(side == 0)
+        d_bound = np.where(side == 0, 0.0, d)
+        s = np.linalg.lstsq(mat[:, free], -(mat @ d_bound), rcond=None)[0]
+        move = s - d[free]
+        below, above = s < lower[free], s > upper[free]
+        hit = np.flatnonzero(below | above)
+        if hit.size:
+            target = np.where(below, lower[free], upper[free])[hit]
+            alphas = (target - d[free[hit]]) / move[hit]
+            i = int(np.argmin(alphas))
+            d[free] += alphas[i] * move
+            np.clip(d, lower, upper, out=d)
+            d[free[hit[i]]] = target[i]
+            side[free[hit[i]]] = -1 if below[hit[i]] else 1
+            delta = float(alphas[i] * np.linalg.norm(move))
+            continue
+        d[free] = s
+        delta = float(np.linalg.norm(move))
+        residual = mat @ d
+        new_cost = float(residual @ residual)
+        violation = side * (mat.T @ residual)
+        violation[box.lower == box.upper] = 0.0
+        j = int(np.argmax(violation))
+        converged = violation[j] <= 0.0 or new_cost >= cost
+        if converged:
+            break
+        cost = new_cost
+        side[j] = 0
+    point = np.where(side < 0, box.lower,
+                     np.where(side > 0, box.upper, np.clip(z + d, box.lower, box.upper)))
+    return point, k, converged, delta
 
 
 def prox_via_pullback(prox_composed: Callable[[np.ndarray], np.ndarray], a, pinv, z) -> np.ndarray:

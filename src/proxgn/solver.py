@@ -79,9 +79,8 @@ class SolverConfig:
 class IterationRecord:
     """One outer step: the new iterate and the step's diagnostics.
 
-    ``inner_step_bounds`` records the two circulating admissibility bounds
-    for the forward-backward step size, (2/||F'||^2, 1/(2 ||F'||^2)); the
-    default step 1/||F'||^2 satisfies the first.
+    ``prox_converged`` is False when the step's prox stopped at its inner
+    iteration cap, so the iterate is inexact.
     """
 
     index: int
@@ -91,7 +90,7 @@ class IterationRecord:
     jacobian_condition: float
     inner_iterations: int
     gn_point_feasible: bool
-    inner_step_bounds: tuple[float, float] = (float("nan"), float("nan"))
+    prox_converged: bool = True
 
 
 class SolveStatus(str, Enum):
@@ -132,20 +131,20 @@ def _evaluate(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gn_core(problem: Problem, x: np.ndarray, rank_tol: float):
-    """Shared Gauss-Newton kernel: returns (z, F, J, condition, ||J||)."""
+    """Shared Gauss-Newton kernel: returns (z, F, J, condition)."""
     f, j = _evaluate(problem, x)
     step, _, _, svals = np.linalg.lstsq(j, f, rcond=None)
     if svals[0] == 0.0 or svals[-1] <= rank_tol * svals[0]:
         raise JacobianRankDeficientError(
             f"sigma_min={svals[-1]:.3e} <= {rank_tol:.1e} * sigma_max={svals[0]:.3e}"
         )
-    return x - step, f, j, float(svals[0] / svals[-1]), float(svals[0])
+    return x - step, f, j, float(svals[0] / svals[-1])
 
 
 def gauss_newton_point(problem: Problem, x, rank_tol: float = DEFAULT_RANK_TOLERANCE) -> np.ndarray:
     """z = x - F'(x)^dag F(x), via a least-squares solve."""
     xv = as_vector(x, problem.n)
-    z, _, _, _, _ = _gn_core(problem, xv, rank_tol)
+    z, _, _, _ = _gn_core(problem, xv, rank_tol)
     return z
 
 
@@ -158,7 +157,7 @@ def prox_gn_step(
 ) -> tuple[np.ndarray, IterationRecord]:
     """One proximal Gauss-Newton step with its iteration record."""
     xv = as_vector(x, problem.n)
-    z, _, j, condition, jac_norm = _gn_core(problem, xv, cfg.rank_tolerance)
+    z, _, j, condition = _gn_core(problem, xv, cfg.rank_tolerance)
     outcome = prox_metric(penalty, j, z, cfg.inner)
     x_next = outcome.point
     if isinstance(penalty, ZeroPenalty):
@@ -180,7 +179,7 @@ def prox_gn_step(
         jacobian_condition=condition,
         inner_iterations=outcome.inner_iterations,
         gn_point_feasible=feasible_z,
-        inner_step_bounds=(2.0 / jac_norm ** 2, 0.5 / jac_norm ** 2),
+        prox_converged=outcome.converged,
     )
     return x_next, record
 
@@ -256,7 +255,7 @@ def stationarity_residual(
     if isinstance(penalty, BoxIndicator):
         gap = normal_cone_gap(-gradient, penalty.box, xv, atol=1e-14)
         return float(np.linalg.norm(gap))
-    z, _, j, _, _ = _gn_core(problem, xv, rank_tol)
+    z, _, j, _ = _gn_core(problem, xv, rank_tol)
     outcome = prox_metric(penalty, j, z)
     return float(np.linalg.norm(xv - outcome.point))
 

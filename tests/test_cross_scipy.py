@@ -17,12 +17,14 @@ from proxgn import (
     BoxIndicator,
     SolveStatus,
     SolverConfig,
+    gauss_newton_point,
     get_case,
     operator_norm,
     prox_metric,
     pseudoinverse,
     solve,
 )
+from proxgn.cli import sample_starts
 from oracles import random_conditioned
 
 
@@ -58,6 +60,37 @@ def test_box_prox_matches_bounded_least_squares():
         assert np.linalg.norm(got - ref.x) <= 1e-8
 
 
+def _assert_matches_bvls(a, z, box):
+    p = prox_metric(BoxIndicator(box), a, z).point
+    # scipy's default cap of n BVLS iterations stops short on some of these
+    ref = scipy.optimize.lsq_linear(a, a @ z, bounds=(box.lower, box.upper),
+                                    method="bvls", tol=1e-14, max_iter=100)
+    assert ref.status > 0
+    assert np.linalg.norm(p - ref.x) <= 1e-8 * (1.0 + np.linalg.norm(ref.x))
+    # objective excess in factored form: subtracting the two rounded
+    # objectives carries an error far above 1e-12 of a small residual
+    excess = 0.5 * (a @ (p - ref.x)) @ (a @ (p + ref.x - 2.0 * z))
+    assert excess <= 1e-12 * 0.5 * float(np.sum((a @ (ref.x - z)) ** 2))
+
+
+def test_box_prox_matches_bvls_on_osborne2_jacobians():
+    # the first prox of every seed-7 start; cond(J) runs from 8e1 to 4.6e5
+    case = get_case("osborne2")
+    for x0 in sample_starts(case, 20, 7):
+        z = gauss_newton_point(case.problem, x0)
+        _assert_matches_bvls(case.problem.jacobian(x0), z, case.box)
+
+
+def test_box_prox_matches_bvls_ill_conditioned():
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        u, _, vt = np.linalg.svd(random_conditioned(rng, 8, 5), full_matrices=False)
+        a = (u * np.geomspace(1.0, 1e-6, 5)) @ vt
+        box = Box(rng.uniform(-1.5, -0.1, 5), rng.uniform(0.1, 1.5, 5))
+        z = rng.uniform(-3.0, 3.0, 5)
+        _assert_matches_bvls(a, z, box)
+
+
 @pytest.mark.parametrize("name", ["rosenbrock", "kowalik", "osborne2"])
 def test_benchmark_minimizers_match_trust_region(name):
     case = get_case(name)
@@ -70,8 +103,9 @@ def test_benchmark_minimizers_match_trust_region(name):
         jac=lambda x: case.problem.jacobian(x),
         bounds=(case.box.lower, case.box.upper),
         xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    # osborne2's metric is ill-conditioned enough that the capped inner loop
-    # leaves ~1e-5 of play along the flat valley; objectives still agree tightly
+    # osborne2's minimizer sits in a flat valley (cond(J) ~ 4.6e5): the exact
+    # box prox lands 1.0e-8 from scipy's point, where the former capped
+    # projected-gradient loop left 1.7e-5; objectives agree tightly
     assert np.max(np.abs(report.final_x - ref.x)) <= 1e-4
     scipy_objective = float(ref.cost)
     assert report.objective == pytest.approx(scipy_objective, rel=1e-8)

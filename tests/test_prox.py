@@ -95,16 +95,33 @@ class TestProxMetric:
         assert np.linalg.norm(ok.point - want) <= 1e-11
 
     def test_non_convergence_is_reported_not_raised(self):
-        # seed chosen so the full run needs ~94 inner iterations
+        # the box projection as a custom prox runs the projected-gradient
+        # loop; seed chosen so the full run needs ~94 inner iterations
         rng = np.random.default_rng(1)
         a = random_conditioned(rng, 5, 3)
         box = random_box(rng, 3)
         z = rng.uniform(-4.0, 4.0, 3)
-        out = prox_metric(BoxIndicator(box), a, z,
+        out = prox_metric(CustomProx(lambda v: project_box(v, box)), a, z,
                           InnerConfig(tolerance=1e-15, max_iterations=3))
         assert not out.converged
         assert out.inner_iterations == 3
         assert out.final_step_delta >= 1e-15
+
+    def test_bvls_cap_is_reported_not_raised(self):
+        # seed chosen so BVLS needs two active-set changes, i.e. three
+        # least-squares solves
+        rng = np.random.default_rng(15)
+        a = random_conditioned(rng, 5, 3)
+        box = random_box(rng, 3)
+        z = rng.uniform(-4.0, 4.0, 3)
+        full = prox_metric(BoxIndicator(box), a, z)
+        assert full.converged and full.inner_iterations >= 3
+        assert np.linalg.norm(full.point - exact_box_prox(a, z, box)) <= 1e-12
+        out = prox_metric(BoxIndicator(box), a, z, InnerConfig(max_iterations=1))
+        assert not out.converged
+        assert out.inner_iterations == 1
+        assert box.contains(out.point)
+        assert out.kkt_gap > full.kkt_gap
 
     def test_custom_prox_loop(self):
         # soft-threshold prox (l1 penalty) in the identity metric
@@ -171,9 +188,12 @@ class TestProxProperties:
             h = a.T @ a
             box = random_box(rng, 3)
             z = rng.uniform(-2.0, 2.0, 3)
-            p = prox_metric(BoxIndicator(box), a, z, cfg).point
+            out = prox_metric(BoxIndicator(box), a, z, cfg)
+            p = out.point
             gap = normal_cone_gap(h @ (z - p), box, p, atol=1e-12)
             assert np.linalg.norm(gap) <= 10 * cfg.tolerance * operator_norm(h)
+            assert out.converged
+            assert out.kkt_gap <= 10 * cfg.tolerance * operator_norm(h)
             sigma = 1.0 / operator_norm(h)
             replay = project_box(p - sigma * (h @ (p - z)), box)
             assert np.linalg.norm(replay - p) <= cfg.tolerance

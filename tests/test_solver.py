@@ -29,6 +29,7 @@ from proxgn import (
     stationarity_residual,
 )
 from proxgn.checks import exact_box_prox
+from proxgn.cli import sample_starts
 from oracles import curved_embedding_problem, normal_equation_pinv
 
 
@@ -314,16 +315,15 @@ def test_prox_gn_step_minimizes_linearized_model():
         assert np.linalg.norm(got - want) <= 1e-9
 
 
-def test_iteration_record_step_bounds():
-    # both circulating step-size bounds are recorded; the default
-    # sigma = 1/||F'||^2 sits between them
-    case = get_case("rosenbrock")
-    _, record = prox_gn_step(case.problem, BoxIndicator(case.box), np.array([0.0, 0.0]))
-    loose, strict = record.inner_step_bounds
-    assert loose == pytest.approx(4.0 * strict, rel=1e-12)
-    jac_norm_sq = 2.0 / loose
-    sigma_default = 1.0 / jac_norm_sq
-    assert strict <= sigma_default <= loose
+def test_record_reports_prox_convergence():
+    # kowalik's first seed-7 start needs five BVLS iterations in its first prox
+    case = get_case("kowalik")
+    x0 = sample_starts(case, 1, 7)[0]
+    _, full = prox_gn_step(case.problem, BoxIndicator(case.box), x0)
+    assert full.prox_converged and full.inner_iterations >= 2
+    capped = SolverConfig(inner=InnerConfig(max_iterations=1))
+    _, record = prox_gn_step(case.problem, BoxIndicator(case.box), x0, capped)
+    assert not record.prox_converged and record.inner_iterations == 1
 
 
 def test_converged_status_implies_small_last_step():
@@ -334,8 +334,9 @@ def test_converged_status_implies_small_last_step():
 
 
 def test_solve_with_custom_prox_projection_matches_box_run():
-    # a projection supplied as a custom identity-metric prox follows the
-    # same inner iteration as the box penalty, so the runs must agree
+    # a projection supplied as a custom identity-metric prox reaches, by the
+    # projected-gradient loop, the prox that BVLS computes for the box
+    # penalty, so the runs must agree
     problem = curved_embedding_problem(1.0)
     box = Box(np.array([0.05, -1.0]), np.array([1.0, 1.0]))
     x0 = np.array([0.8, 0.3])

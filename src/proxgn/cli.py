@@ -217,7 +217,8 @@ def _human_report(case, case_name, results) -> str:
     lines = [f"case: {case_name}   starts: {len(results)}"]
     for i, (x0, report) in enumerate(results):
         line = (f"  start {i:2d}: {report.status.value:24s} iterations={report.iterations:4d}"
-                f" objective={report.objective:.6e}")
+                f" objective={report.objective:.6e}"
+                f" stationarity={report.stationarity_residual:.2e}")
         if case.reference_x is not None:
             dist = float(np.max(np.abs(report.final_x - case.reference_x)))
             line += f" max|x-ref|={dist:.2e}"
@@ -231,10 +232,7 @@ def _human_report(case, case_name, results) -> str:
 def cmd_solve(args) -> int:
     try:
         case = _load_case(args)
-    except problems.UnknownProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except problems.ExternalDefinitionUnavailableError as exc:
+    except (problems.UnknownProblemError, problems.ExternalDefinitionUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

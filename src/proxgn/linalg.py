@@ -27,7 +27,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise ShapeMismatchError(f"expected a nonempty 2-d array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -39,7 +39,7 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
         raise ShapeMismatchError(f"expected a 1-d array, got shape {x.shape}")
     if dim is not None and x.shape[0] != dim:
         raise ShapeMismatchError(f"expected length {dim}, got {x.shape[0]}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("vector entries must be finite")
     return x
 
@@ -50,7 +50,6 @@ class PinvResult:
 
     pinv: np.ndarray
     smallest_singular_value_estimate: float
-    injective: bool
 
 
 def operator_norm(a) -> float:
@@ -78,7 +77,7 @@ def pseudoinverse(a, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> PinvResu
             f"sigma_min={s[-1]:.3e} <= {rank_tolerance:.1e} * sigma_max={s[0]:.3e}"
         )
     pinv = (vt.T / s) @ u.T
-    return PinvResult(pinv=pinv, smallest_singular_value_estimate=float(s[-1]), injective=True)
+    return PinvResult(pinv=pinv, smallest_singular_value_estimate=float(s[-1]))
 
 
 def verify_penrose(a, p, tol: float) -> bool:

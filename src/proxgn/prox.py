@@ -111,7 +111,7 @@ class InnerConfig:
 class ProxOutcome:
     """Result of a metric-prox evaluation.
 
-    ``kkt_gap`` is the box certificate ||normal_cone_gap(H(z - p), box, p)||;
+    ``kkt_gap`` is the box certificate ||normal_cone_gap(A^T A(z - p), box, p)||;
     it is 0 for the zero penalty and NaN for custom penalties.
     """
 
@@ -152,31 +152,34 @@ def is_firmly_nonexpansive(fn, dim: int, samples: int = 64, seed: int = 0,
 def normal_cone_gap(v, box: Box, x, atol: float = 0.0) -> np.ndarray:
     """Componentwise distance of v from the normal cone of the box at x.
 
-    Coordinates sitting at a bound may point outward; everywhere else the
-    cone is {0} and the gap is v itself.
+    Coordinates within ``atol * (1 + |x|)`` of a bound may point outward;
+    everywhere else the cone is {0} and the gap is v itself.  An infinite
+    bound is never within reach, since x is finite.
     """
     g = as_vector(v).copy()
     p = as_vector(x, box.dimension)
     if g.shape[0] != box.dimension:
         raise DimensionMismatchError("gap vector and box dimensions differ")
-    at_lower = p - box.lower <= atol * (1.0 + np.abs(box.lower))
-    at_upper = box.upper - p <= atol * (1.0 + np.abs(box.upper))
-    if atol == 0.0:
-        at_lower = p <= box.lower
-        at_upper = p >= box.upper
+    slack = atol * (1.0 + np.abs(p))
+    at_lower = p - box.lower <= slack
+    at_upper = box.upper - p <= slack
     g[at_lower] = np.maximum(g[at_lower], 0.0)
     g[at_upper] = np.minimum(g[at_upper], 0.0)
     return g
 
 
-def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig()) -> ProxOutcome:
+def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig(), *,
+                _svals: np.ndarray | None = None) -> ProxOutcome:
     """prox_J^H(z) for H = A^T A, A with full column rank.
 
     Box penalties start from the clamped point and return it with zero inner
     iterations when it already satisfies the metric optimality certificate
-    H(z - p) in N_box(p); this covers the feasible-z case exactly.  Otherwise
-    BVLS solves the box prox exactly.  Non-convergence within the iteration
-    budget is reported through ``converged``, never raised.
+    A^T A(z - p) in N_box(p); this covers the feasible-z case exactly.
+    Otherwise BVLS solves the box prox exactly.  H itself is formed only for
+    custom penalties.  Non-convergence within the iteration budget is
+    reported through ``converged``, never raised.  ``_svals``, the singular
+    values of ``a`` when the caller has already factorized it, spares a
+    second factorization.
     """
     mat = as_matrix(a)
     point = as_vector(z)
@@ -188,30 +191,28 @@ def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig()) -> Pro
         return ProxOutcome(point=point.copy(), inner_iterations=0, converged=True,
                            final_step_delta=0.0, kkt_gap=0.0)
 
-    svals = np.linalg.svd(mat, compute_uv=False)
+    svals = np.linalg.svd(mat, compute_uv=False) if _svals is None else _svals
     if svals[-1] == 0.0:
         raise RankDeficientError("metric matrix A^T A is singular")
     norm_h = float(svals[0]) ** 2
     sigma = cfg.step_size if cfg.step_size is not None else 1.0 / norm_h
     if cfg.step_size is not None and sigma >= 2.0 / norm_h:
         raise StepTooLargeError(f"sigma={sigma:.3e} >= 2/||H||={2.0 / norm_h:.3e}")
-    h = mat.T @ mat
 
     if isinstance(penalty, BoxIndicator):
         box = penalty.box
         if box.dimension != point.shape[0]:
             raise DimensionMismatchError("box and point dimensions differ")
-        start = project_box(point, box)
-        gap = float(np.linalg.norm(normal_cone_gap(h @ (point - start), box, start)))
-        # certificate slack tol*sigma_min^2 keeps ||start - prox|| <= tol
-        if gap <= cfg.tolerance * float(svals[-1]) ** 2:
-            return ProxOutcome(point=start, inner_iterations=0, converged=True,
-                               final_step_delta=0.0, kkt_gap=gap)
-        p, k, converged, delta = _bvls(mat, point, start, box, cfg.max_iterations)
-        gap = float(np.linalg.norm(normal_cone_gap(h @ (point - p), box, p)))
+        p, k, converged, delta = project_box(point, box), 0, True, 0.0
+        gap = float(np.linalg.norm(normal_cone_gap(mat.T @ (mat @ (point - p)), box, p)))
+        # certificate slack tol*sigma_min^2 keeps the clamped p within tol of the prox
+        if gap > cfg.tolerance * float(svals[-1]) ** 2:
+            p, k, converged, delta = _bvls(mat, point, p, box, cfg.max_iterations)
+            gap = float(np.linalg.norm(normal_cone_gap(mat.T @ (mat @ (point - p)), box, p)))
         return ProxOutcome(point=p, inner_iterations=k, converged=converged,
                            final_step_delta=delta, kkt_gap=gap)
 
+    h = mat.T @ mat
     v = point.copy()
     apply_prox = penalty.prox_identity
     delta = np.inf

@@ -4,9 +4,14 @@ One outer step maps x to prox_J^{H(x)}(x - F'(x)^dag F(x)) with
 H(x) = F'(x)^T F'(x); equivalently it minimizes the penalized linearized
 objective 1/2 ||F(x) + F'(x)(v - x)||^2 + J(v).  With the zero penalty the
 iteration reduces to classical Gauss-Newton.
+
+Each iterate is linearized once: F and J are evaluated once and factorized
+once, by the least-squares solve for the Gauss-Newton point, and are shared by
+the rank check, the box prox, the step record, the next step and the report.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -108,6 +113,7 @@ class SolveReport:
     objective: float
     penalty_feasible: bool
     projected_start: bool = False
+    stationarity_residual: float = float("nan")
 
     @property
     def iterations(self) -> int:
@@ -125,27 +131,25 @@ def _evaluate(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"residual/jacobian shapes {f.shape}/{j.shape} do not match "
             f"({problem.m},)/({problem.m},{problem.n})"
         )
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(j))):
+    if not (np.isfinite(f).all() and np.isfinite(j).all()):
         raise InvalidPointError("residual or jacobian produced non-finite values")
     return f, j
 
 
-def _gn_core(problem: Problem, x: np.ndarray, rank_tol: float):
-    """Shared Gauss-Newton kernel: returns (z, F, J, condition)."""
-    f, j = _evaluate(problem, x)
+def _gn_core(x: np.ndarray, f: np.ndarray, j: np.ndarray, rank_tol: float):
+    """Gauss-Newton point from one linearization: returns (z, singular values of J)."""
     step, _, _, svals = np.linalg.lstsq(j, f, rcond=None)
     if svals[0] == 0.0 or svals[-1] <= rank_tol * svals[0]:
         raise JacobianRankDeficientError(
             f"sigma_min={svals[-1]:.3e} <= {rank_tol:.1e} * sigma_max={svals[0]:.3e}"
         )
-    return x - step, f, j, float(svals[0] / svals[-1])
+    return x - step, svals
 
 
 def gauss_newton_point(problem: Problem, x, rank_tol: float = DEFAULT_RANK_TOLERANCE) -> np.ndarray:
     """z = x - F'(x)^dag F(x), via a least-squares solve."""
     xv = as_vector(x, problem.n)
-    z, _, _, _ = _gn_core(problem, xv, rank_tol)
-    return z
+    return _gn_core(xv, *_evaluate(problem, xv), rank_tol)[0]
 
 
 def prox_gn_step(
@@ -154,34 +158,35 @@ def prox_gn_step(
     x,
     cfg: SolverConfig = SolverConfig(),
     index: int = 0,
+    *,
+    _linearized: dict | None = None,
 ) -> tuple[np.ndarray, IterationRecord]:
-    """One proximal Gauss-Newton step with its iteration record."""
+    """One proximal Gauss-Newton step with its iteration record.
+
+    ``_linearized["fj"]`` is ``solve``'s hand-off: (F, J) at ``x`` when known,
+    replaced by (F, J) at the new iterate, or None where that is invalid.
+    """
     xv = as_vector(x, problem.n)
-    z, _, j, condition = _gn_core(problem, xv, cfg.rank_tolerance)
-    outcome = prox_metric(penalty, j, z, cfg.inner)
+    carry = {} if _linearized is None else _linearized
+    carry["fj"] = carry.get("fj") or _evaluate(problem, xv)
+    f, j = carry["fj"]
+    z, svals = _gn_core(xv, f, j, cfg.rank_tolerance)
+    outcome = prox_metric(penalty, j, z, cfg.inner, _svals=svals)
     x_next = outcome.point
-    if isinstance(penalty, ZeroPenalty):
-        feasible_z = True
-    elif isinstance(penalty, BoxIndicator):
-        feasible_z = outcome.inner_iterations == 0
-    else:
-        feasible_z = False
+    feasible_z = isinstance(penalty, ZeroPenalty) or (
+        isinstance(penalty, BoxIndicator) and outcome.inner_iterations == 0)
     try:
-        f_next, _ = _evaluate(problem, x_next)
-        residual_norm = float(np.linalg.norm(f_next))
+        carry["fj"] = _evaluate(problem, x_next)
+        residual_norm = float(np.linalg.norm(carry["fj"][0]))
     except InvalidPointError:
+        carry["fj"] = None
         residual_norm = float("nan")
-    record = IterationRecord(
-        index=index,
-        x=x_next,
-        residual_norm=residual_norm,
+    return x_next, IterationRecord(
+        index=index, x=x_next, residual_norm=residual_norm,
         step_norm=float(np.linalg.norm(x_next - xv)),
-        jacobian_condition=condition,
-        inner_iterations=outcome.inner_iterations,
-        gn_point_feasible=feasible_z,
-        prox_converged=outcome.converged,
-    )
-    return x_next, record
+        jacobian_condition=float(svals[0] / svals[-1]),
+        inner_iterations=outcome.inner_iterations, gn_point_feasible=feasible_z,
+        prox_converged=outcome.converged)
 
 
 def solve(problem: Problem, penalty: Penalty, x0, cfg: SolverConfig = SolverConfig()) -> SolveReport:
@@ -193,16 +198,16 @@ def solve(problem: Problem, penalty: Penalty, x0, cfg: SolverConfig = SolverConf
     projected onto the box first and flagged.
     """
     x = as_vector(x0, problem.n)
-    projected_start = False
-    if isinstance(penalty, BoxIndicator) and not penalty.box.contains(x):
+    projected_start = isinstance(penalty, BoxIndicator) and not penalty.box.contains(x)
+    if projected_start:
         x = project_box(x, penalty.box)
-        projected_start = True
 
     trace: list[IterationRecord] = []
     status = SolveStatus.MAX_ITERATIONS
+    linearized: dict = {}
     for n in range(1, cfg.max_outer + 1):
         try:
-            x_next, record = prox_gn_step(problem, penalty, x, cfg, index=n)
+            x_next, record = prox_gn_step(problem, penalty, x, cfg, index=n, _linearized=linearized)
         except JacobianRankDeficientError:
             status = SolveStatus.JACOBIAN_RANK_DEFICIENT
             break
@@ -215,23 +220,17 @@ def solve(problem: Problem, penalty: Penalty, x0, cfg: SolverConfig = SolverConf
             status = SolveStatus.CONVERGED
             break
 
-    try:
-        f, _ = _evaluate(problem, x)
-        objective = 0.5 * float(f @ f)
-    except InvalidPointError:
-        objective = float("nan")
-    if isinstance(penalty, BoxIndicator):
-        feasible = penalty.box.contains(x, atol=cfg.inner.tolerance)
-    else:
-        feasible = True
-    return SolveReport(
-        status=status,
-        final_x=x,
-        trace=trace,
-        objective=objective,
-        penalty_feasible=feasible,
-        projected_start=projected_start,
-    )
+    fj = linearized.get("fj")
+    objective = stationarity = float("nan")
+    if fj is not None:
+        objective = 0.5 * float(fj[0] @ fj[0])
+        with suppress(JacobianRankDeficientError):
+            stationarity = stationarity_residual(problem, penalty, x, cfg.rank_tolerance, _fj=fj)
+    feasible = (not isinstance(penalty, BoxIndicator)
+                or penalty.box.contains(x, atol=cfg.inner.tolerance))
+    return SolveReport(status=status, final_x=x, trace=trace, objective=objective,
+                       penalty_feasible=feasible, projected_start=projected_start,
+                       stationarity_residual=stationarity)
 
 
 def stationarity_residual(
@@ -239,24 +238,27 @@ def stationarity_residual(
     penalty: Penalty,
     x,
     rank_tol: float = DEFAULT_RANK_TOLERANCE,
+    *,
+    _fj: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Violation of the first-order condition -F'(x)^T F(x) in dJ(x).
 
     Zero penalty: the gradient norm ||F'(x)^T F(x)||.  Box indicator: the
     norm of the componentwise distance of -F'(x)^T F(x) from the normal
     cone of the box at x.  Custom prox: the fixed-point residual
-    ||x - prox_J^H(x - F'(x)^dag F(x))||.
+    ||x - prox_J^H(x - F'(x)^dag F(x))||.  ``_fj`` is (F, J) at x when the
+    caller already has it.
     """
     xv = as_vector(x, problem.n)
-    f, j = _evaluate(problem, xv)
+    f, j = _evaluate(problem, xv) if _fj is None else _fj
     gradient = j.T @ f
     if isinstance(penalty, ZeroPenalty):
         return float(np.linalg.norm(gradient))
     if isinstance(penalty, BoxIndicator):
         gap = normal_cone_gap(-gradient, penalty.box, xv, atol=1e-14)
         return float(np.linalg.norm(gap))
-    z, _, j, _ = _gn_core(problem, xv, rank_tol)
-    outcome = prox_metric(penalty, j, z)
+    z, svals = _gn_core(xv, f, j, rank_tol)
+    outcome = prox_metric(penalty, j, z, _svals=svals)
     return float(np.linalg.norm(xv - outcome.point))
 
 

@@ -80,6 +80,15 @@ def random_conditioned(rng, m: int, n: int, smin: float = 0.7, smax: float = 1.6
     return q1[:, :n] @ (s[:, None] * q2)
 
 
+def box_kkt_gap(problem, box, x) -> float:
+    """||distance of -J^T F from the box's normal cone at x||, bounds compared exactly."""
+    g = -(problem.jacobian(x).T @ problem.residual(x))
+    at_lower, at_upper = x <= box.lower, x >= box.upper
+    g[at_lower] = np.maximum(g[at_lower], 0.0)
+    g[at_upper] = np.minimum(g[at_upper], 0.0)
+    return float(np.linalg.norm(g))
+
+
 def curved_embedding_problem(curvature: float = 1.0):
     """Zero-residual test map F(x) = (x1, x2, c/2 * |x|^2) with minimizer 0.
 

@@ -15,7 +15,6 @@ from oracles import gram_eigen_condition, normal_equation_pinv, power_iteration_
 def test_pseudoinverse_identity():
     res = pseudoinverse(np.eye(3))
     assert np.allclose(res.pinv, np.eye(3), atol=1e-14)
-    assert res.injective
     assert res.smallest_singular_value_estimate == pytest.approx(1.0)
 
 

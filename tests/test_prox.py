@@ -284,3 +284,14 @@ def test_prox_metric_rank_deficient_metric():
     box = Box(np.zeros(2), np.ones(2))
     with pytest.raises(RankDeficientError):
         prox_metric(BoxIndicator(box), singular, [2.0, 2.0])
+
+
+def test_normal_cone_gap_one_sided_box():
+    # coordinate 0 is unbounded, so it is interior whatever atol is; coordinate
+    # 1 sits at its upper bound, where only an inward (negative) part remains
+    box = Box(np.array([-INF, 0.0]), np.array([INF, 2.0]))
+    x = np.array([0.5, 2.0])
+    v = np.array([1.0, -1.0])
+    for atol in (0.0, 1e-14, 1e-3):
+        assert np.array_equal(normal_cone_gap(v, box, x, atol=atol), [1.0, -1.0])
+    assert np.array_equal(normal_cone_gap(-v, box, x, atol=1e-14), [-1.0, 0.0])

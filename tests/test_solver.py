@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from proxgn import (
 )
 from proxgn.checks import exact_box_prox
 from proxgn.cli import sample_starts
-from oracles import curved_embedding_problem, normal_equation_pinv
+from oracles import box_kkt_gap, curved_embedding_problem, normal_equation_pinv
 
 
 def linear_problem(a, b):
@@ -346,3 +348,36 @@ def test_solve_with_custom_prox_projection_matches_box_run():
     assert via_box.status == via_custom.status == SolveStatus.CONVERGED
     assert np.linalg.norm(via_box.final_x - via_custom.final_x) <= 1e-9
     assert all(not rec.gn_point_feasible for rec in via_custom.trace)
+
+
+@pytest.mark.parametrize("name", ["rosenbrock", "kowalik", "osborne2"])
+def test_report_stationarity_matches_kkt_gap(name):
+    case = get_case(name)
+    for x0 in sample_starts(case, 20, 7):
+        report = solve(case.problem, BoxIndicator(case.box), x0)
+        assert report.status == SolveStatus.CONVERGED
+        want = box_kkt_gap(case.problem, case.box, report.final_x)
+        assert report.stationarity_residual == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["kowalik", "osborne2"])
+def test_one_linearization_per_iterate(name):
+    # one residual and one Jacobian per iterate, the start included: the
+    # step, its record, the next step and the report share them
+    case = get_case(name)
+    calls = {"residual": 0, "jacobian": 0}
+
+    def counted(kind, fn):
+        def wrapper(x):
+            calls[kind] += 1
+            return fn(x)
+        return wrapper
+
+    problem = dataclasses.replace(case.problem,
+                                  residual=counted("residual", case.problem.residual),
+                                  jacobian=counted("jacobian", case.problem.jacobian))
+    for x0 in sample_starts(case, 20, 7):
+        calls.update(residual=0, jacobian=0)
+        report = solve(problem, BoxIndicator(case.box), x0)
+        assert report.status == SolveStatus.CONVERGED
+        assert calls == {"residual": report.iterations + 1, "jacobian": report.iterations + 1}

@@ -303,6 +303,7 @@ def cmd_radius(args) -> int:
     lines.append(f"mode = {mode.value}")
     lines.append(f"sup_radius = {summary.sup_radius!r}")
     lines.append(f"r_bar = {summary.r_bar!r}")
+    lines.append(f"r_bar_capped = {summary.r_bar_capped}")
     if summary.r_bar_closed is not None:
         lines.append(f"r_bar_closed_form = {summary.r_bar_closed!r}")
         lines.append(f"closed_form_discrepancy = {summary.closed_form_discrepancy}")

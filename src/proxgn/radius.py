@@ -8,8 +8,8 @@ means
 
 which control the contraction factor q(r) of the proximal Gauss-Newton
 fixed-point map around a minimizer with constants (alpha, beta, kappa).
-The convergence radius r_bar is where q crosses 1; for constant L it has
-a closed form via a quadratic in z = beta*L*r.
+The convergence radius r_bar is where q crosses 1, a root found by Brent's
+method; for constant L it has a closed form via a quadratic in z = beta*L*r.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 
 SQRT2_PLUS_1 = 1.0 + math.sqrt(2.0)
 QUADRATURE_REL_TOL = 1e-10
-_BISECTION_ABS_TOL = 1e-12
+_ROOT_REL_TOL = 1e-14
 
 
 class OutOfDomainError(Exception):
@@ -237,19 +237,58 @@ def q_factor(constants: ProblemConstants, average: LipschitzAverage,
     return b * numerator / (den * den)
 
 
+def _brent_root(f: Callable[[float], float], a: float, b: float,
+                fa: float, fb: float) -> float:
+    """Root of f in [a, b] from fa = f(a) < 0 <= fb = f(b), fb possibly inf.
+
+    Brent's method (1973) as in scipy's brentq: secant or inverse quadratic
+    steps, or bisection whenever a step would not halve the one before last.
+    Stops once the bracket is narrower than _ROOT_REL_TOL of the root.
+    """
+    pre, fpre, cur, fcur = a, fa, b, fb
+    blk, fblk, spre, scur = a, fa, 0.0, 0.0
+    while True:
+        if (fpre < 0.0) != (fcur < 0.0):
+            blk, fblk = pre, fpre
+            spre = scur = cur - pre
+        if abs(fblk) < abs(fcur):
+            pre, cur, blk, fpre, fcur, fblk = cur, blk, cur, fcur, fblk, fcur
+        delta = 0.5 * _ROOT_REL_TOL * max(abs(cur), abs(blk))
+        sbis = 0.5 * (blk - cur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return cur
+        stry = math.nan
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if pre == blk:
+                stry = -fcur * (cur - pre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (pre - cur)
+                dblk = (fblk - fcur) / (blk - cur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        # a NaN step (no interpolation, or one through an infinite value) bisects
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        pre, fpre = cur, fcur
+        cur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(cur)
+
+
 def sup_radius(constants: ProblemConstants, average: LipschitzAverage) -> float:
     """R_bar = sup { r in (0, R) : gamma_0(r) * r < 1/beta }.
 
     The map r -> beta*gamma_0(r)*r is strictly increasing, so the sup is a
-    bisection root; the bracket is grown geometrically and is guaranteed to
-    close at 1/(beta*L(0)) since gamma_0 >= L(0).
+    single root.  The bracket grows geometrically until it holds the root,
+    as it must by 1/(beta*L(0)) since gamma_0 >= L(0); Brent's method then
+    starts from the two values the growth computed last.
     """
     beta = constants.beta
     if average.is_constant:
         return min(1.0 / (beta * average.constant_value), average.upper_limit)
 
-    def phi(r: float) -> float:
-        return beta * gamma_lambda(average, 0.0, r) * r
+    def phi_minus_one(r: float) -> float:
+        return beta * gamma_lambda(average, 0.0, r) * r - 1.0
 
     domain_cap = average.upper_limit
     l_zero = average(0.0)
@@ -257,39 +296,36 @@ def sup_radius(constants: ProblemConstants, average: LipschitzAverage) -> float:
     hi = 1.0 / (beta * l_zero) / 1024.0 if l_zero > 0 else 1.0 / beta
     if math.isfinite(domain_cap):
         hi = min(hi, 0.5 * domain_cap)
-    lo = 0.0
+    lo, f_lo = 0.0, -1.0
     while True:
         if hi >= domain_cap:
-            edge = domain_cap * (1.0 - 1e-12)
-            if phi(edge) < 1.0:
+            hi = domain_cap * (1.0 - 1e-12)
+            f_hi = phi_minus_one(hi)
+            if f_hi < 0.0:
                 return domain_cap
-            hi = edge
             break
-        if phi(hi) >= 1.0:
+        f_hi = phi_minus_one(hi)
+        if f_hi >= 0.0:
             break
-        lo = hi
+        lo, f_lo = hi, f_hi
         hi *= 2.0
-    while hi - lo > _BISECTION_ABS_TOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _brent_root(phi_minus_one, lo, hi, f_lo, f_hi)
 
 
 def r_bar_numeric(constants: ProblemConstants, average: LipschitzAverage,
-                  mode: LipschitzMode) -> float:
+                  mode: LipschitzMode, *, _sup: float | None = None) -> float:
     """Radius of the convergence ball: the root of q(r) = 1 in (0, R_bar).
 
-    q increases strictly from q(0) = h < 1, so the root is unique; it is
-    located by bisection to absolute tolerance 1e-12.  When q stays below 1
-    on the whole domain the sup radius itself is returned.
+    q increases strictly from q(0) = h < 1, so the root is unique; Brent's
+    method brackets it to 1e-14 relative.  q rises only by 1 - h over
+    [0, r_bar], so its rounding limits the root to about eps/(1 - h).  When
+    q stays below 1 on the whole domain the sup radius itself is returned.
+    ``_sup`` is the sup radius when the caller already has it.
     """
     h, admissible = check_small_residual(constants, average(0.0))
     if not admissible:
         raise ConditionViolatedError(f"h={h:.6g} >= 1")
-    r_sup = sup_radius(constants, average)
+    r_sup = sup_radius(constants, average) if _sup is None else _sup
 
     def q_safe(r: float) -> float:
         try:
@@ -298,16 +334,10 @@ def r_bar_numeric(constants: ProblemConstants, average: LipschitzAverage,
             return math.inf
 
     hi = r_sup * (1.0 - 1e-12)
-    if q_safe(hi) < 1.0:
+    f_hi = q_safe(hi) - 1.0
+    if f_hi < 0.0:
         return r_sup
-    lo = 0.0
-    while hi - lo > _BISECTION_ABS_TOL:
-        mid = 0.5 * (lo + hi)
-        if q_safe(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _brent_root(lambda r: q_safe(r) - 1.0, 0.0, hi, h - 1.0, f_hi)
 
 
 def r_bar_closed_form(constants: ProblemConstants, l_const: float,
@@ -325,12 +355,13 @@ def r_bar_closed_form(constants: ProblemConstants, l_const: float,
     if not admissible:
         raise ConditionViolatedError(f"h={h:.6g} >= 1")
     tail = SQRT2_PLUS_1 * a * beta * beta * l_const
+    # z = 2(1-h) / (b + sqrt(b^2 +- 2(1-h))) avoids -b + sqrt(...)'s cancellation
     if mode == LipschitzMode.CENTER:
         b = 2.0 + 1.5 * k + tail
-        z = -b + math.sqrt(b * b + 2.0 * (1.0 - h))
+        z = 2.0 * (1.0 - h) / (b + math.sqrt(b * b + 2.0 * (1.0 - h)))
     else:
         b = 2.0 + 0.5 * k + tail
-        z = b - math.sqrt(b * b - 2.0 * (1.0 - h))
+        z = 2.0 * (1.0 - h) / (b + math.sqrt(b * b - 2.0 * (1.0 - h)))
     return z / (beta * l_const)
 
 
@@ -362,6 +393,7 @@ class RadiusSummary:
     admissible: bool
     sup_radius: float
     r_bar: float
+    r_bar_capped: bool
     r_bar_closed: float | None
     closed_form_discrepancy: bool
 
@@ -370,23 +402,26 @@ def convergence_radius(constants: ProblemConstants, average: LipschitzAverage,
                        mode: LipschitzMode) -> RadiusSummary:
     """Numeric radius, cross-validated against the closed form when L is constant.
 
-    On disagreement beyond 1e-6 the numeric root is kept and the summary
-    carries a discrepancy flag.
+    On a relative disagreement beyond 1e-9 the numeric root is kept and the
+    summary carries a discrepancy flag.  ``r_bar_capped`` says that q stays
+    below 1 up to the sup radius, which is then returned as r_bar.
     """
     h, admissible = check_small_residual(constants, average(0.0))
     if not admissible:
         raise ConditionViolatedError(f"h={h:.6g} >= 1")
-    numeric = r_bar_numeric(constants, average, mode)
+    r_sup = sup_radius(constants, average)
+    numeric = r_bar_numeric(constants, average, mode, _sup=r_sup)
     closed = None
     discrepancy = False
     if average.is_constant:
         closed = r_bar_closed_form(constants, average.constant_value, mode)
-        discrepancy = abs(closed - numeric) > 1e-6
+        discrepancy = abs(closed - numeric) > 1e-9 * closed
     return RadiusSummary(
         h=h,
         admissible=admissible,
-        sup_radius=sup_radius(constants, average),
+        sup_radius=r_sup,
         r_bar=numeric,
+        r_bar_capped=numeric >= r_sup,
         r_bar_closed=closed,
         closed_form_discrepancy=discrepancy,
     )

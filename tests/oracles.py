@@ -2,8 +2,9 @@
 
 These deliberately use different algorithms from the package: dense
 normal-equation solves for pseudoinverses, power iteration for spectral
-norms, grid + golden-section scans for one-dimensional proxes, and
-active-set enumeration for box-constrained quadratics.
+norms, grid + golden-section scans for one-dimensional proxes,
+active-set enumeration for box-constrained quadratics, and companion-matrix
+eigenvalues for the constant-L convergence radius.
 """
 from __future__ import annotations
 
@@ -109,3 +110,20 @@ def curved_embedding_problem(curvature: float = 1.0):
 
     return Problem(n=2, m=3, residual=residual, jacobian=jacobian,
                    name="curved_embedding")
+
+
+def quadratic_radius(alpha: float, beta: float, kappa: float, l_const: float, mode) -> float:
+    """r_bar for constant L from the companion-matrix roots of the q = 1 quadratic.
+
+    With gamma_0 = L and the mode's mean c*L (c = 3/2 center, 1/2 radius),
+    q(r) = 1 reads (c-1) z^2 + (c*kappa + t + 2) z + (h-1) = 0 in z = beta*L*r,
+    t = (1+sqrt2)*alpha*beta^2*L; the radius is its root in (0, 1) over beta*L.
+    """
+    sqrt2_plus_1 = 1.0 + np.sqrt(2.0)
+    c = 1.5 if mode == "center" else 0.5
+    t = sqrt2_plus_1 * alpha * beta * beta * l_const
+    h = (sqrt2_plus_1 * kappa + 1.0) * alpha * beta ** 2 * l_const
+    roots = np.roots([c - 1.0, c * kappa + t + 2.0, h - 1.0])
+    z = [float(r.real) for r in roots if r.imag == 0.0 and 0.0 < r.real < 1.0]
+    assert len(z) == 1, roots
+    return z[0] / (beta * l_const)

@@ -157,6 +157,7 @@ class TestRadiusCommand:
         assert float(values["h"]) == 0.0
         assert values["admissible"] == "True"
         assert float(values["r_bar"]) == pytest.approx(0.27492, abs=1e-5)
+        assert values["r_bar_capped"] == "False"
         assert float(values["r_bar_closed_form"]) == pytest.approx(0.27492, abs=1e-5)
         assert values["closed_form_discrepancy"] == "False"
         assert float(values["C1(rho0=r_bar/2)"]) == 0.0

@@ -9,12 +9,16 @@ import pytest
 
 scipy = pytest.importorskip("scipy")
 
+import scipy.integrate  # noqa: E402
 import scipy.linalg  # noqa: E402
 import scipy.optimize  # noqa: E402
 
 from proxgn import (
     Box,
     BoxIndicator,
+    LipschitzAverage,
+    LipschitzMode,
+    ProblemConstants,
     SolveStatus,
     SolverConfig,
     gauss_newton_point,
@@ -22,6 +26,7 @@ from proxgn import (
     operator_norm,
     prox_metric,
     pseudoinverse,
+    r_bar_numeric,
     solve,
 )
 from proxgn.cli import sample_starts
@@ -109,3 +114,30 @@ def test_benchmark_minimizers_match_trust_region(name):
     assert np.max(np.abs(report.final_x - ref.x)) <= 1e-4
     scipy_objective = float(ref.cost)
     assert report.objective == pytest.approx(scipy_objective, rel=1e-8)
+
+
+_KNOTS = np.linspace(0.0, 1.0 / 1.2, 9)
+
+
+@pytest.mark.parametrize("mode", [LipschitzMode.CENTER, LipschitzMode.RADIUS])
+@pytest.mark.parametrize("average, breaks", [
+    (LipschitzAverage.from_callable(lambda u: (1.0 + u) ** 2), ()),
+    (LipschitzAverage.tabulated(_KNOTS, (1.0 + _KNOTS) ** 2), _KNOTS),
+], ids=["callable", "tabulated"])
+def test_radius_solves_q_equal_one_by_quadpack(average, breaks, mode):
+    # h = 0.999: q climbs from 0.999 to 1 across [0, r_bar], the case where
+    # an absolute root tolerance loses most relative accuracy
+    beta, kappa = 1.2, 5.0
+    sqrt2_plus_1 = 1.0 + np.sqrt(2.0)
+    alpha = 0.999 / ((sqrt2_plus_1 * kappa + 1.0) * beta ** 2 * average(0.0))
+    r = r_bar_numeric(ProblemConstants(alpha=alpha, beta=beta, kappa=kappa), average, mode)
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200,
+                points=[float(u) for u in breaks if 0.0 < u < r] or None)
+    g0 = scipy.integrate.quad(average, 0.0, r, **opts)[0] / r
+    g1 = scipy.integrate.quad(lambda u: u * average(u), 0.0, r, **opts)[0] / r ** 2
+    gm = 2.0 * g0 - g1 if mode == LipschitzMode.CENTER else g1
+    numerator = (beta * g0 * gm * r * r + kappa * gm * r
+                 + sqrt2_plus_1 * alpha * beta ** 2 * g0 ** 2 * r
+                 + (sqrt2_plus_1 * kappa + 1.0) * alpha * beta * g0)
+    q = beta * numerator / (1.0 - beta * g0 * r) ** 2
+    assert q == pytest.approx(1.0, abs=1e-9)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import quadratic_radius
+from proxgn import radius
 from proxgn import (
     ConditionViolatedError,
     LipschitzAverage,
@@ -281,7 +283,15 @@ class TestRadius:
         assert summary.h == 0.0
         assert summary.r_bar_closed is not None
         assert not summary.closed_form_discrepancy
+        assert not summary.r_bar_capped
         assert summary.r_bar == pytest.approx(summary.r_bar_closed, abs=1e-8)
+
+    def test_capped_radius_is_reported(self):
+        # q stays below 1 on the whole domain [0, 1), so r_bar is R_bar = R
+        small = LipschitzAverage.from_callable(lambda u: 0.1, upper_limit=1.0)
+        summary = convergence_radius(unit_constants(), small, CENTER)
+        assert summary.r_bar_capped
+        assert summary.r_bar == summary.sup_radius == 1.0
 
 
 class TestContractionConstants:
@@ -364,3 +374,80 @@ def test_r_bar_numeric_matches_grid_search_nonconstant():
         crossing = int(np.argmax(qs >= 1.0))  # first index with q >= 1
         assert crossing > 0
         assert grid[crossing - 1] <= r_bar <= grid[crossing]
+
+
+def _draw_constants(rng):
+    kappa = 10.0 ** rng.uniform(0.0, 2.0)
+    beta = 10.0 ** rng.uniform(-0.5, 0.5)
+    l_const = 10.0 ** rng.uniform(-0.5, 0.5)
+    h = rng.uniform(0.0, 0.9999)
+    alpha = h / ((SQRT2P1 * kappa + 1.0) * beta ** 2 * l_const)
+    return alpha, beta, kappa, l_const
+
+
+# a seed-7 radius-mix draw with r_bar near 1e-4, where an absolute root
+# tolerance leaves a relative error near 1e-8
+SMALL_RADIUS_DRAW = (0.00028065775378941806, 3.033229580330849, 74.096227092272,
+                     1.725082045022856)
+# h = 0.9999, where rounding in q (not the root finder) sets r_bar's accuracy
+NEAR_ONE_DRAW = (0.9999 / (SQRT2P1 * 50.0 + 1.0), 1.0, 50.0, 1.0)
+
+
+def test_constant_radius_matches_quadratic_roots_to_relative_accuracy():
+    rng = np.random.default_rng(31)
+    draws = [_draw_constants(rng) for _ in range(200)] + [SMALL_RADIUS_DRAW, NEAR_ONE_DRAW]
+    for alpha, beta, kappa, l_const in draws:
+        c = ProblemConstants(alpha=alpha, beta=beta, kappa=kappa)
+        avg = LipschitzAverage.constant(l_const)
+        # q rises by only 1 - h across [0, r_bar], so a few ulps of rounding
+        # in q move the numeric root by about eps / (1 - h) relative
+        h, _ = check_small_residual(c, l_const)
+        numeric_tol = max(1e-12, 4.0 * np.finfo(float).eps / (1.0 - h))
+        for mode in (CENTER, RADIUS):
+            want = quadratic_radius(alpha, beta, kappa, l_const, mode)
+            assert r_bar_closed_form(c, l_const, mode) == pytest.approx(want, rel=1e-12, abs=0)
+            assert r_bar_numeric(c, avg, mode) == pytest.approx(want, rel=numeric_tol, abs=0)
+
+
+def _count_calls(monkeypatch, name, when=lambda *args: True) -> list:
+    """Wrap ``radius.<name>``; the returned list grows by one per call matching ``when``."""
+    calls = []
+    inner = getattr(radius, name)
+
+    def counted(*args, **kwargs):
+        if when(*args):
+            calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(radius, name, counted)
+    return calls
+
+
+BUDGET_CONSTANTS = ProblemConstants(alpha=0.01, beta=1.2, kappa=5.0)
+_KNOTS = np.linspace(0.0, 1.0 / 1.2, 9)
+BUDGET_AVERAGES = {
+    "constant": LipschitzAverage.constant(1.0),
+    "callable": LipschitzAverage.from_callable(lambda u: (1.0 + u) ** 2),
+    "tabulated": LipschitzAverage.tabulated(_KNOTS, (1.0 + _KNOTS) ** 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUDGET_AVERAGES))
+@pytest.mark.parametrize("mode", [CENTER, RADIUS])
+def test_r_bar_numeric_evaluation_budget(monkeypatch, kind, mode):
+    q_calls = _count_calls(monkeypatch, "q_factor")
+    r_bar_numeric(BUDGET_CONSTANTS, BUDGET_AVERAGES[kind], mode)
+    assert 0 < len(q_calls) <= 15
+
+
+@pytest.mark.parametrize("kind", ["callable", "tabulated"])
+def test_sup_radius_evaluation_budget(monkeypatch, kind):
+    gamma_0_calls = _count_calls(monkeypatch, "gamma_lambda", lambda avg, lam, r: lam == 0.0)
+    sup_radius(BUDGET_CONSTANTS, BUDGET_AVERAGES[kind])
+    assert 0 < len(gamma_0_calls) <= 25
+
+
+def test_convergence_radius_computes_sup_radius_once(monkeypatch):
+    sup_calls = _count_calls(monkeypatch, "sup_radius")
+    convergence_radius(BUDGET_CONSTANTS, BUDGET_AVERAGES["callable"], CENTER)
+    assert len(sup_calls) == 1

@@ -69,12 +69,11 @@ def _kowalik_jacobian(x):
     u = data.KOWALIK_U
     num = u * u + u * x[1]
     den = u * u + u * x[2] + x[3]
-    return np.column_stack([
-        -num / den,
-        -x[0] * u / den,
-        x[0] * num * u / den ** 2,
-        x[0] * num / den ** 2,
-    ])
+    scaled, den2 = x[0] * num, den ** 2
+    jac = np.empty((u.size, 4))
+    jac[:, 0], jac[:, 1] = -num / den, -x[0] * u / den
+    jac[:, 2], jac[:, 3] = scaled * u / den2, scaled / den2
+    return jac
 
 
 _OSBORNE1_T = 10.0 * np.arange(data.OSBORNE1_M)
@@ -91,42 +90,39 @@ def _osborne1_jacobian(x):
     t = _OSBORNE1_T
     e1 = np.exp(-x[3] * t)
     e2 = np.exp(-x[4] * t)
-    return np.column_stack([
-        -np.ones_like(t), -e1, -e2, x[1] * t * e1, x[2] * t * e2,
-    ])
+    jac = np.empty((t.size, 5))
+    jac[:, 0], jac[:, 1], jac[:, 2] = -1.0, -e1, -e2
+    jac[:, 3], jac[:, 4] = x[1] * t * e1, x[2] * t * e2
+    return jac
 
 
 _OSBORNE2_T = np.arange(65) / 10.0
 
 
 def _osborne2_terms(x):
+    """exp(-t x[4]) and, in column k of each 65x3 block, t - x[8+k], its
+    square and the Gaussian exp(-(t - x[8+k])^2 x[5+k])."""
     t = _OSBORNE2_T
-    return (
-        np.exp(-t * x[4]),
-        np.exp(-(t - x[8]) ** 2 * x[5]),
-        np.exp(-(t - x[9]) ** 2 * x[6]),
-        np.exp(-(t - x[10]) ** 2 * x[7]),
-    )
+    shift = t[:, None] - x[8:]
+    square = shift ** 2
+    return np.exp(-t * x[4]), shift, square, np.exp(-square * x[5:8])
 
 
 def _osborne2_residual(x):
-    e0, e1, e2, e3 = _osborne2_terms(x)
-    return data.OSBORNE2_Y - (x[0] * e0 + x[1] * e1 + x[2] * e2 + x[3] * e3)
+    e0, _, _, g = _osborne2_terms(x)
+    return data.OSBORNE2_Y - (x[0] * e0 + x[1] * g[:, 0] + x[2] * g[:, 1] + x[3] * g[:, 2])
 
 
 def _osborne2_jacobian(x):
     t = _OSBORNE2_T
-    e0, e1, e2, e3 = _osborne2_terms(x)
-    return np.column_stack([
-        -e0, -e1, -e2, -e3,
-        x[0] * t * e0,
-        x[1] * (t - x[8]) ** 2 * e1,
-        x[2] * (t - x[9]) ** 2 * e2,
-        x[3] * (t - x[10]) ** 2 * e3,
-        -2.0 * x[1] * x[5] * (t - x[8]) * e1,
-        -2.0 * x[2] * x[6] * (t - x[9]) * e2,
-        -2.0 * x[3] * x[7] * (t - x[10]) * e3,
-    ])
+    e0, shift, square, g = _osborne2_terms(x)
+    jac = np.empty((t.size, 11))
+    jac[:, 0] = -e0
+    jac[:, 1:4] = -g
+    jac[:, 4] = x[0] * t * e0
+    jac[:, 5:8] = x[1:4] * square * g
+    jac[:, 8:] = -2.0 * x[1:4] * x[5:8] * shift * g
+    return jac
 
 
 # -- case registry ------------------------------------------------------------

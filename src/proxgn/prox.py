@@ -1,11 +1,13 @@
 """Proximity operators in the variable metric H = A^T A.
 
 The metric prox of a penalty J at z is argmin_v { J(v) + 1/2 ||v - z||_H^2 }.
-For the zero penalty it is the identity.  For a box indicator it is the
-bounded least-squares problem min ||A(v - z)|| over the box, solved exactly
-by bounded-variable least squares (BVLS, Stark & Parker 1995, extending the
-NNLS method of Lawson & Hanson 1974).  For custom penalties it is computed
-by the projected-gradient (forward-backward) inner iteration
+For the zero penalty it is the identity.  For a box indicator it is z
+itself when z lies in the box, and otherwise the bounded least-squares
+problem min ||A(v - z)|| over the box, solved exactly by bounded-variable
+least squares (BVLS, Stark & Parker 1995, extending the NNLS method of
+Lawson & Hanson 1974) and certified once, by its KKT gap at the returned
+point.  For custom penalties it is computed by the projected-gradient
+(forward-backward) inner iteration
 
     v_{k+1} = P(v_k - sigma * H (v_k - z)),
 
@@ -13,6 +15,7 @@ where P is the identity-metric prox of the penalty and sigma < 2/||H||.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -88,10 +91,12 @@ class InnerConfig:
 
     ``max_iterations`` caps the BVLS iterations of a box prox (one
     least-squares solve and at most one active-set change each) and the
-    projected-gradient steps of a custom prox.  ``tolerance`` scales the box
-    short-circuit's certificate slack and bounds the last projected-gradient
-    step.  ``step_size`` None selects sigma = 1/||H||; a fixed value must
-    satisfy 0 < sigma < 2/||H|| at call time; only custom proxes use it.
+    projected-gradient steps of a custom prox.  ``tolerance`` bounds the
+    last projected-gradient step of a custom prox; the box prox is exact and
+    does not read it (``solve`` uses it only as the slack of its final
+    box-feasibility flag).  ``step_size`` None selects sigma = 1/||H||; a
+    fixed value must satisfy 0 < sigma < 2/||H|| at call time; only custom
+    proxes use it.
     """
 
     tolerance: float = 1e-12
@@ -111,14 +116,14 @@ class InnerConfig:
 class ProxOutcome:
     """Result of a metric-prox evaluation.
 
-    ``kkt_gap`` is the box certificate ||normal_cone_gap(A^T A(z - p), box, p)||;
+    ``kkt_gap`` is the box certificate ||normal_cone_gap(A^T A(z - p), box, p)||,
+    computed once at the returned point p (0 when z is feasible, so p = z);
     it is 0 for the zero penalty and NaN for custom penalties.
     """
 
     point: np.ndarray
     inner_iterations: int
     converged: bool
-    final_step_delta: float
     kkt_gap: float = float("nan")
 
 
@@ -172,14 +177,13 @@ def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig(), *,
                 _svals: np.ndarray | None = None) -> ProxOutcome:
     """prox_J^H(z) for H = A^T A, A with full column rank.
 
-    Box penalties start from the clamped point and return it with zero inner
-    iterations when it already satisfies the metric optimality certificate
-    A^T A(z - p) in N_box(p); this covers the feasible-z case exactly.
-    Otherwise BVLS solves the box prox exactly.  H itself is formed only for
-    custom penalties.  Non-convergence within the iteration budget is
-    reported through ``converged``, never raised.  ``_svals``, the singular
-    values of ``a`` when the caller has already factorized it, spares a
-    second factorization.
+    A box penalty returns a feasible z unchanged with zero inner iterations.
+    Otherwise BVLS solves the box prox exactly from the clamped point, and
+    the KKT gap is computed once, at the point it returns.  H itself is
+    formed only for custom penalties.  Non-convergence within the iteration
+    budget is reported through ``converged``, never raised.  ``_svals``, the
+    singular values of ``a`` when the caller has already factorized it,
+    spares a second factorization.
     """
     mat = as_matrix(a)
     point = as_vector(z)
@@ -188,8 +192,7 @@ def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig(), *,
             f"point has length {point.shape[0]}, metric expects {mat.shape[1]}"
         )
     if isinstance(penalty, ZeroPenalty):
-        return ProxOutcome(point=point.copy(), inner_iterations=0, converged=True,
-                           final_step_delta=0.0, kkt_gap=0.0)
+        return ProxOutcome(point=point.copy(), inner_iterations=0, converged=True, kkt_gap=0.0)
 
     svals = np.linalg.svd(mat, compute_uv=False) if _svals is None else _svals
     if svals[-1] == 0.0:
@@ -203,28 +206,27 @@ def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig(), *,
         box = penalty.box
         if box.dimension != point.shape[0]:
             raise DimensionMismatchError("box and point dimensions differ")
-        p, k, converged, delta = project_box(point, box), 0, True, 0.0
-        gap = float(np.linalg.norm(normal_cone_gap(mat.T @ (mat @ (point - p)), box, p)))
-        # certificate slack tol*sigma_min^2 keeps the clamped p within tol of the prox
-        if gap > cfg.tolerance * float(svals[-1]) ** 2:
-            p, k, converged, delta = _bvls(mat, point, p, box, cfg.max_iterations)
-            gap = float(np.linalg.norm(normal_cone_gap(mat.T @ (mat @ (point - p)), box, p)))
+        p = project_box(point, box)
+        if (p == point).all():
+            return ProxOutcome(point=p, inner_iterations=0, converged=True, kkt_gap=0.0)
+        p, k, converged = _bvls(mat, point, p, box, cfg.max_iterations)
+        # normal_cone_gap(A^T A(z - p), box, p) with atol = 0, inputs known valid
+        g = mat.T @ (mat @ (point - p))
+        np.maximum(g, 0.0, out=g, where=p <= box.lower)
+        np.minimum(g, 0.0, out=g, where=p >= box.upper)
         return ProxOutcome(point=p, inner_iterations=k, converged=converged,
-                           final_step_delta=delta, kkt_gap=gap)
+                           kkt_gap=math.sqrt(g @ g))
 
     h = mat.T @ mat
     v = point.copy()
     apply_prox = penalty.prox_identity
-    delta = np.inf
     for k in range(1, cfg.max_iterations + 1):
         v_next = as_vector(apply_prox(v - sigma * (h @ (v - point))), point.shape[0])
         delta = float(np.linalg.norm(v_next - v))
         v = v_next
         if delta < cfg.tolerance:
-            return ProxOutcome(point=v, inner_iterations=k, converged=True,
-                               final_step_delta=delta)
-    return ProxOutcome(point=v, inner_iterations=cfg.max_iterations, converged=False,
-                       final_step_delta=delta)
+            return ProxOutcome(point=v, inner_iterations=k, converged=True)
+    return ProxOutcome(point=v, inner_iterations=cfg.max_iterations, converged=False)
 
 
 def _bvls(mat, z, start, box: Box, max_iterations: int):
@@ -237,13 +239,13 @@ def _bvls(mat, z, start, box: Box, max_iterations: int):
     multiplier -A^T A d has the wrong sign the most is freed.  The loop stops
     when no multiplier has the wrong sign, or when a freeing failed to lower
     ||A d||, which means the sign was rounding noise.  Returns (point,
-    iterations, converged, length of the last move).
+    iterations, converged).
     """
     lower, upper = box.lower - z, box.upper - z
     d = start - z
     # -1 fixed at the lower bound, +1 at the upper bound, 0 free
     side = np.where(start <= box.lower, -1, np.where(start >= box.upper, 1, 0))
-    cost = delta = np.inf
+    cost = np.inf
     converged = False
     for k in range(1, max_iterations + 1):
         free = np.flatnonzero(side == 0)
@@ -260,10 +262,8 @@ def _bvls(mat, z, start, box: Box, max_iterations: int):
             np.clip(d, lower, upper, out=d)
             d[free[hit[i]]] = target[i]
             side[free[hit[i]]] = -1 if below[hit[i]] else 1
-            delta = float(alphas[i] * np.linalg.norm(move))
             continue
         d[free] = s
-        delta = float(np.linalg.norm(move))
         residual = mat @ d
         new_cost = float(residual @ residual)
         violation = side * (mat.T @ residual)
@@ -276,7 +276,7 @@ def _bvls(mat, z, start, box: Box, max_iterations: int):
         side[j] = 0
     point = np.where(side < 0, box.lower,
                      np.where(side > 0, box.upper, np.clip(z + d, box.lower, box.upper)))
-    return point, k, converged, delta
+    return point, k, converged
 
 
 def prox_via_pullback(prox_composed: Callable[[np.ndarray], np.ndarray], a, pinv, z) -> np.ndarray:

@@ -11,6 +11,7 @@ the rank check, the box prox, the step record, the next step and the report.
 """
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
@@ -177,13 +178,14 @@ def prox_gn_step(
         isinstance(penalty, BoxIndicator) and outcome.inner_iterations == 0)
     try:
         carry["fj"] = _evaluate(problem, x_next)
-        residual_norm = float(np.linalg.norm(carry["fj"][0]))
+        residual_norm = math.sqrt(carry["fj"][0] @ carry["fj"][0])
     except InvalidPointError:
         carry["fj"] = None
         residual_norm = float("nan")
+    step = x_next - xv
     return x_next, IterationRecord(
         index=index, x=x_next, residual_norm=residual_norm,
-        step_norm=float(np.linalg.norm(x_next - xv)),
+        step_norm=math.sqrt(step @ step),
         jacobian_condition=float(svals[0] / svals[-1]),
         inner_iterations=outcome.inner_iterations, gn_point_feasible=feasible_z,
         prox_converged=outcome.converged)

@@ -33,6 +33,38 @@ TABLE = {
 }
 
 
+def _kowalik_columns(x):
+    u = KOWALIK_U
+    num = u * u + u * x[1]
+    den = u * u + u * x[2] + x[3]
+    jac = np.column_stack([-num / den, -x[0] * u / den,
+                           x[0] * num * u / den ** 2, x[0] * num / den ** 2])
+    return KOWALIK_Y - x[0] * num / den, jac
+
+
+def _osborne1_columns(x):
+    t = 10.0 * np.arange(OSBORNE1_M)
+    e1, e2 = np.exp(-x[3] * t), np.exp(-x[4] * t)
+    jac = np.column_stack([-np.ones_like(t), -e1, -e2, x[1] * t * e1, x[2] * t * e2])
+    return OSBORNE1_Y[:OSBORNE1_M] - (x[0] + x[1] * e1 + x[2] * e2), jac
+
+
+def _osborne2_columns(x):
+    t = np.arange(65) / 10.0
+    e0 = np.exp(-t * x[4])
+    e = [np.exp(-(t - x[8 + k]) ** 2 * x[5 + k]) for k in range(3)]
+    jac = np.column_stack(
+        [-e0] + [-ek for ek in e] + [x[0] * t * e0]
+        + [x[1 + k] * (t - x[8 + k]) ** 2 * e[k] for k in range(3)]
+        + [-2.0 * x[1 + k] * x[5 + k] * (t - x[8 + k]) * e[k] for k in range(3)])
+    residual = OSBORNE2_Y - (x[0] * e0 + x[1] * e[0] + x[2] * e[1] + x[3] * e[2])
+    return residual, jac
+
+
+COLUMN_FORMULAS = {"kowalik": _kowalik_columns, "osborne1": _osborne1_columns,
+                   "osborne2": _osborne2_columns}
+
+
 class TestRegistry:
     def test_case_names(self):
         assert case_names() == ("rosenbrock", "kowalik", "osborne1", "osborne2",
@@ -114,6 +146,21 @@ class TestFiniteDifferences:
             fd = finite_diff_jacobian(case.problem, x, 1e-6)
             analytic = case.problem.jacobian(x)
             assert operator_norm(fd - analytic) <= 1e-5 * max(operator_norm(analytic), 1e-12)
+
+    @pytest.mark.parametrize("name", ["kowalik", "osborne1", "osborne2"])
+    def test_jacobians_equal_column_formulas(self, name):
+        # the Jacobians are filled block by block into one array; every
+        # column must equal its textbook formula, evaluated alone, bit for bit
+        case = get_case(name)
+        rng = np.random.default_rng(29)
+        lo, up = case.box.lower, case.box.upper
+        for _ in range(500):
+            x = lo + rng.random(case.box.dimension) * (up - lo)
+            want_f, want_j = COLUMN_FORMULAS[name](x)
+            got_j = case.problem.jacobian(x)
+            assert got_j.flags.c_contiguous
+            assert np.array_equal(got_j, want_j)
+            assert np.array_equal(case.problem.residual(x), want_f)
 
     def test_domain_violation(self):
         from proxgn import InvalidPointError

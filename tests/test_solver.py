@@ -381,3 +381,20 @@ def test_one_linearization_per_iterate(name):
         report = solve(problem, BoxIndicator(case.box), x0)
         assert report.status == SolveStatus.CONVERGED
         assert calls == {"residual": report.iterations + 1, "jacobian": report.iterations + 1}
+
+
+@pytest.mark.parametrize("name", ["kowalik", "osborne2"])
+def test_gn_point_feasible_flag_means_what_it_says(name):
+    # each record's flag says whether the Gauss-Newton point from the
+    # previous iterate lay in the box
+    case = get_case(name)
+    flags = set()
+    for x0 in sample_starts(case, 20, 7):
+        report = solve(case.problem, BoxIndicator(case.box), x0)
+        x_prev = x0
+        for rec in report.trace:
+            want = case.box.contains(gauss_newton_point(case.problem, x_prev))
+            assert rec.gn_point_feasible == want
+            flags.add(want)
+            x_prev = rec.x
+    assert flags == {True, False}

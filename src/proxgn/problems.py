@@ -52,6 +52,15 @@ class BenchmarkCase:
 
 # -- residual/Jacobian definitions -------------------------------------------
 
+# Data that does not depend on x, formed once, by the same arithmetic as inline.
+_KOWALIK_U = data.KOWALIK_U
+_KOWALIK_U2 = _KOWALIK_U * _KOWALIK_U
+_OSBORNE1_T = 10.0 * np.arange(data.OSBORNE1_M)
+_OSBORNE1_Y = data.OSBORNE1_Y[:data.OSBORNE1_M]
+_OSBORNE2_T = np.arange(65) / 10.0
+_OSBORNE2_NEG_T, _OSBORNE2_T_COLUMN = -_OSBORNE2_T, _OSBORNE2_T[:, None]
+
+
 def _rosenbrock_residual(x):
     return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
 
@@ -61,23 +70,19 @@ def _rosenbrock_jacobian(x):
 
 
 def _kowalik_residual(x):
-    u = data.KOWALIK_U
-    return data.KOWALIK_Y - x[0] * (u * u + u * x[1]) / (u * u + u * x[2] + x[3])
+    u = _KOWALIK_U
+    return data.KOWALIK_Y - x[0] * (_KOWALIK_U2 + u * x[1]) / (_KOWALIK_U2 + u * x[2] + x[3])
 
 
 def _kowalik_jacobian(x):
-    u = data.KOWALIK_U
-    num = u * u + u * x[1]
-    den = u * u + u * x[2] + x[3]
+    u = _KOWALIK_U
+    num = _KOWALIK_U2 + u * x[1]
+    den = _KOWALIK_U2 + u * x[2] + x[3]
     scaled, den2 = x[0] * num, den ** 2
     jac = np.empty((u.size, 4))
     jac[:, 0], jac[:, 1] = -num / den, -x[0] * u / den
     jac[:, 2], jac[:, 3] = scaled * u / den2, scaled / den2
     return jac
-
-
-_OSBORNE1_T = 10.0 * np.arange(data.OSBORNE1_M)
-_OSBORNE1_Y = data.OSBORNE1_Y[:data.OSBORNE1_M]
 
 
 def _osborne1_residual(x):
@@ -96,16 +101,12 @@ def _osborne1_jacobian(x):
     return jac
 
 
-_OSBORNE2_T = np.arange(65) / 10.0
-
-
 def _osborne2_terms(x):
     """exp(-t x[4]) and, in column k of each 65x3 block, t - x[8+k], its
     square and the Gaussian exp(-(t - x[8+k])^2 x[5+k])."""
-    t = _OSBORNE2_T
-    shift = t[:, None] - x[8:]
+    shift = _OSBORNE2_T_COLUMN - x[8:]
     square = shift ** 2
-    return np.exp(-t * x[4]), shift, square, np.exp(-square * x[5:8])
+    return np.exp(_OSBORNE2_NEG_T * x[4]), shift, square, np.exp(-square * x[5:8])
 
 
 def _osborne2_residual(x):
@@ -127,44 +128,33 @@ def _osborne2_jacobian(x):
 
 # -- case registry ------------------------------------------------------------
 
-def _standard_cases() -> dict[str, BenchmarkCase]:
-    return {
-        "rosenbrock": BenchmarkCase(
-            problem=Problem(n=2, m=2, residual=_rosenbrock_residual,
-                            jacobian=_rosenbrock_jacobian, name="rosenbrock"),
-            box=Box(np.array([-3.0, -2.0]), np.array([3.0, 0.8])),
-            reference_x=np.array([0.89475, 0.80000]),
-            reference_avg_iterations=7,
-            source=CaseSource.STANDARD,
-        ),
-        "kowalik": BenchmarkCase(
-            problem=Problem(n=4, m=11, residual=_kowalik_residual,
-                            jacobian=_kowalik_jacobian, name="kowalik"),
-            box=Box(np.array([0.1928, 0.1916, 0.1234, 0.1362]), np.ones(4)),
-            reference_x=np.array([0.19281, 0.19165, 0.12340, 0.13620]),
-            reference_avg_iterations=7,
-            source=CaseSource.STANDARD,
-        ),
-        "osborne1": BenchmarkCase(
-            problem=Problem(n=5, m=data.OSBORNE1_M, residual=_osborne1_residual,
-                            jacobian=_osborne1_jacobian, name="osborne1"),
-            box=Box(np.array([0.3754, 1.0, -2.0, 0.01287, 0.0]),
-                    np.array([1.0, 2.0, 0.0, 1.0, 1.0])),
-            reference_x=np.array([0.37546, 1.93569, -1.46461, 0.01287, 0.02212]),
-            reference_avg_iterations=21,
-            source=CaseSource.STANDARD,
-        ),
-        "osborne2": BenchmarkCase(
-            problem=Problem(n=11, m=65, residual=_osborne2_residual,
-                            jacobian=_osborne2_jacobian, name="osborne2"),
-            box=Box(np.array([1.31, 0.4314, 0.6336, 0.5, 0.5, 0.6, 1.0, 4.0, 2.0, 4.5689, 5.0]),
-                    np.array([1.4, 0.8, 1.0, 1.0, 1.0, 3.0, 5.0, 7.0, 2.5, 5.0, 6.0])),
-            reference_x=np.array([1.31000, 0.43157, 0.63367, 0.59941, 0.75423, 0.90423,
-                                  1.36573, 4.82393, 2.39867, 4.56890, 5.67535]),
-            reference_avg_iterations=17,
-            source=CaseSource.STANDARD,
-        ),
-    }
+def _standard_case(name, m, residual, jacobian, lower, upper, reference_x, avg_iterations):
+    """A bundled case whose arrays are read-only, so that no caller can corrupt the registry."""
+    lower, upper, reference_x = (np.array(v, dtype=float) for v in (lower, upper, reference_x))
+    for array in (lower, upper, reference_x):
+        array.flags.writeable = False
+    return BenchmarkCase(
+        problem=Problem(n=reference_x.size, m=m, residual=residual, jacobian=jacobian, name=name),
+        box=Box(lower, upper), reference_x=reference_x,
+        reference_avg_iterations=avg_iterations, source=CaseSource.STANDARD)
+
+
+# Built once, at import: get_case hands every caller the same case.
+_STANDARD_CASES = {case.problem.name: case for case in (
+    _standard_case("rosenbrock", 2, _rosenbrock_residual, _rosenbrock_jacobian,
+                   [-3.0, -2.0], [3.0, 0.8], [0.89475, 0.80000], 7),
+    _standard_case("kowalik", 11, _kowalik_residual, _kowalik_jacobian,
+                   [0.1928, 0.1916, 0.1234, 0.1362], np.ones(4),
+                   [0.19281, 0.19165, 0.12340, 0.13620], 7),
+    _standard_case("osborne1", data.OSBORNE1_M, _osborne1_residual, _osborne1_jacobian,
+                   [0.3754, 1.0, -2.0, 0.01287, 0.0], [1.0, 2.0, 0.0, 1.0, 1.0],
+                   [0.37546, 1.93569, -1.46461, 0.01287, 0.02212], 21),
+    _standard_case("osborne2", 65, _osborne2_residual, _osborne2_jacobian,
+                   [1.31, 0.4314, 0.6336, 0.5, 0.5, 0.6, 1.0, 4.0, 2.0, 4.5689, 5.0],
+                   [1.4, 0.8, 1.0, 1.0, 1.0, 3.0, 5.0, 7.0, 2.5, 5.0, 6.0],
+                   [1.31000, 0.43157, 0.63367, 0.59941, 0.75423, 0.90423,
+                    1.36573, 4.82393, 2.39867, 4.56890, 5.67535], 17),
+)}
 
 
 # Known metadata of the external constrained-equations cases (dimensions,
@@ -203,9 +193,8 @@ def case_names() -> tuple[str, ...]:
 def get_case(name: str) -> BenchmarkCase:
     """Look up a benchmark case by name."""
     key = name.strip().lower()
-    cases = _standard_cases()
-    if key in cases:
-        return cases[key]
+    if key in _STANDARD_CASES:
+        return _STANDARD_CASES[key]
     if key in EXTERNAL_CASE_INFO:
         raise ExternalDefinitionUnavailableError(
             f"case '{key}' is defined by an external equations library whose "

@@ -182,17 +182,17 @@ def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig(), *,
     the KKT gap is computed once, at the point it returns.  H itself is
     formed only for custom penalties.  Non-convergence within the iteration
     budget is reported through ``converged``, never raised.  ``_svals``, the
-    singular values of ``a`` when the caller has already factorized it,
-    spares a second factorization.
+    singular values of ``a`` from a caller that has factorized ``a`` and so
+    checked it and ``z``, spares a second factorization and both checks: the
+    returned point may then be ``z`` itself.  Without it ``z`` is copied.
     """
-    mat = as_matrix(a)
-    point = as_vector(z)
+    mat, point = (a, z) if _svals is not None else (as_matrix(a), as_vector(z).copy())
     if point.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(
             f"point has length {point.shape[0]}, metric expects {mat.shape[1]}"
         )
     if isinstance(penalty, ZeroPenalty):
-        return ProxOutcome(point=point.copy(), inner_iterations=0, converged=True, kkt_gap=0.0)
+        return ProxOutcome(point=point, inner_iterations=0, converged=True, kkt_gap=0.0)
 
     svals = np.linalg.svd(mat, compute_uv=False) if _svals is None else _svals
     if svals[-1] == 0.0:
@@ -206,10 +206,10 @@ def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig(), *,
         box = penalty.box
         if box.dimension != point.shape[0]:
             raise DimensionMismatchError("box and point dimensions differ")
-        p = project_box(point, box)
-        if (p == point).all():
-            return ProxOutcome(point=p, inner_iterations=0, converged=True, kkt_gap=0.0)
-        p, k, converged = _bvls(mat, point, p, box, cfg.max_iterations)
+        if ((box.lower <= point) & (point <= box.upper)).all():
+            return ProxOutcome(point=point, inner_iterations=0, converged=True, kkt_gap=0.0)
+        start = np.minimum(np.maximum(point, box.lower), box.upper)
+        p, k, converged = _bvls(mat, point, start, box, cfg.max_iterations)
         # normal_cone_gap(A^T A(z - p), box, p) with atol = 0, inputs known valid
         g = mat.T @ (mat @ (point - p))
         np.maximum(g, 0.0, out=g, where=p <= box.lower)

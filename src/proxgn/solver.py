@@ -8,6 +8,12 @@ iteration reduces to classical Gauss-Newton.
 Each iterate is linearized once: F and J are evaluated once and factorized
 once, by the least-squares solve for the Gauss-Newton point, and are shared by
 the rank check, the box prox, the step record, the next step and the report.
+
+Each array is checked once, where it enters: ``solve`` checks x0, ``_evaluate``
+every F and J, and ``_gn_core`` the Gauss-Newton point z it forms.  Inside
+``solve``'s loop the private hand-offs carry that trust: with ``_linearized`` a
+step takes x (the checked start or the previous prox output) as it is, and
+with ``_svals`` the prox takes J and z as they are.
 """
 from __future__ import annotations
 
@@ -138,13 +144,16 @@ def _evaluate(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gn_core(x: np.ndarray, f: np.ndarray, j: np.ndarray, rank_tol: float):
-    """Gauss-Newton point from one linearization: returns (z, singular values of J)."""
+    """Gauss-Newton point from one linearization, checked finite: (z, singular values of J)."""
     step, _, _, svals = np.linalg.lstsq(j, f, rcond=None)
     if svals[0] == 0.0 or svals[-1] <= rank_tol * svals[0]:
         raise JacobianRankDeficientError(
             f"sigma_min={svals[-1]:.3e} <= {rank_tol:.1e} * sigma_max={svals[0]:.3e}"
         )
-    return x - step, svals
+    z = x - step
+    if not np.isfinite(z).all():
+        raise InvalidPointError("Gauss-Newton point has non-finite entries")
+    return z, svals
 
 
 def gauss_newton_point(problem: Problem, x, rank_tol: float = DEFAULT_RANK_TOLERANCE) -> np.ndarray:
@@ -164,11 +173,11 @@ def prox_gn_step(
 ) -> tuple[np.ndarray, IterationRecord]:
     """One proximal Gauss-Newton step with its iteration record.
 
-    ``_linearized["fj"]`` is ``solve``'s hand-off: (F, J) at ``x`` when known,
-    replaced by (F, J) at the new iterate, or None where that is invalid.
+    ``_linearized`` is ``solve``'s hand-off and vouches for ``x``.  Its "fj" is
+    (F, J) at ``x`` when known, replaced by (F, J) at the new iterate, or None
+    where that is invalid.
     """
-    xv = as_vector(x, problem.n)
-    carry = {} if _linearized is None else _linearized
+    xv, carry = (as_vector(x, problem.n), {}) if _linearized is None else (x, _linearized)
     carry["fj"] = carry.get("fj") or _evaluate(problem, xv)
     f, j = carry["fj"]
     z, svals = _gn_core(xv, f, j, cfg.rank_tolerance)
@@ -249,9 +258,9 @@ def stationarity_residual(
     norm of the componentwise distance of -F'(x)^T F(x) from the normal
     cone of the box at x.  Custom prox: the fixed-point residual
     ||x - prox_J^H(x - F'(x)^dag F(x))||.  ``_fj`` is (F, J) at x when the
-    caller already has it.
+    caller already has it; x is then trusted as already checked.
     """
-    xv = as_vector(x, problem.n)
+    xv = as_vector(x, problem.n) if _fj is None else x
     f, j = _evaluate(problem, xv) if _fj is None else _fj
     gradient = j.T @ f
     if isinstance(penalty, ZeroPenalty):

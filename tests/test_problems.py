@@ -86,6 +86,15 @@ class TestRegistry:
         assert case.problem.residual(x).shape == (m,)
         assert case.problem.jacobian(x).shape == (m, n)
 
+    @pytest.mark.parametrize("name", sorted(TABLE))
+    def test_cases_are_built_once_and_read_only(self, name):
+        case = get_case(name)
+        assert get_case(name) is case
+        for array in (case.box.lower, case.box.upper, case.reference_x):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert np.array_equal(case.reference_x, np.asarray(TABLE[name][4], float))
+
     def test_unknown_case(self):
         with pytest.raises(UnknownProblemError):
             get_case("brown_dennis")

@@ -326,6 +326,32 @@ def test_prox_metric_dimension_mismatch():
         prox_metric(BoxIndicator(Box(np.zeros(3), np.ones(3))), np.eye(2), [0.1, 0.2])
 
 
+PENALTIES = [ZeroPenalty(), BoxIndicator(Box(-np.ones(2), np.ones(2))),
+             CustomProx(lambda v: np.clip(v, -1.0, 1.0), "clip")]
+
+
+@pytest.mark.parametrize("penalty", PENALTIES)
+def test_public_prox_metric_checks_its_arguments(penalty):
+    # only a caller that passes the singular values of a may skip these checks
+    a, z = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([0.5, 2.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            prox_metric(penalty, np.where(a == 1.0, bad, a), z)
+        with pytest.raises(ValueError):
+            prox_metric(penalty, a, np.array([0.5, bad]))
+    with pytest.raises(DimensionMismatchError):
+        prox_metric(penalty, a, np.array([0.5, 2.0, 0.0]))
+
+
+@pytest.mark.parametrize("penalty", PENALTIES[:2])
+def test_public_prox_metric_returns_a_fresh_point(penalty):
+    z = np.array([0.5, -0.25])
+    out = prox_metric(penalty, np.eye(2), z)
+    assert np.array_equal(out.point, z) and out.inner_iterations == 0
+    z[0] = 7.0
+    assert out.point[0] == 0.5
+
+
 def test_prox_metric_rank_deficient_metric():
     from proxgn import RankDeficientError
 

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from proxgn import (
     LipschitzMode,
     Problem,
     ProblemConstants,
+    ShapeMismatchError,
     SolveStatus,
     SolverConfig,
     ZeroPenalty,
@@ -30,6 +32,7 @@ from proxgn import (
     solve,
     stationarity_residual,
 )
+from proxgn import solver as solver_module
 from proxgn.checks import exact_box_prox
 from proxgn.cli import sample_starts
 from oracles import box_kkt_gap, curved_embedding_problem, normal_equation_pinv
@@ -381,6 +384,71 @@ def test_one_linearization_per_iterate(name):
         report = solve(problem, BoxIndicator(case.box), x0)
         assert report.status == SolveStatus.CONVERGED
         assert calls == {"residual": report.iterations + 1, "jacobian": report.iterations + 1}
+
+
+@pytest.mark.parametrize("name", ["kowalik", "osborne2"])
+def test_each_step_calls_step_and_prox_by_module_name(name, monkeypatch):
+    # the layer tracer of the benchmark replaces these two module attributes,
+    # so solve must reach every step and every prox call through them
+    case = get_case(name)
+    calls = Counter()
+
+    def count(attr):
+        fn = getattr(solver_module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(solver_module, attr, wrapper)
+
+    count("prox_gn_step")
+    count("prox_metric")
+    for x0 in sample_starts(case, 20, 7):
+        calls.clear()
+        report = solve(case.problem, BoxIndicator(case.box), x0)
+        assert report.status == SolveStatus.CONVERGED
+        assert calls == {"prox_gn_step": report.iterations, "prox_metric": report.iterations}
+
+
+def _poisoned_after_start(fn, value):
+    """fn at the start x = 0; every entry replaced by ``value`` anywhere else."""
+    return lambda x: fn(x) if not x.any() else np.full_like(fn(x), value)
+
+
+@pytest.mark.parametrize("penalty", [ZeroPenalty(),
+                                     BoxIndicator(Box(-10.0 * np.ones(2), 10.0 * np.ones(2)))])
+@pytest.mark.parametrize("broken, value", [("residual", np.nan), ("jacobian", np.inf)])
+def test_non_finite_values_at_second_iterate_end_left_domain(penalty, broken, value):
+    # solve trusts each iterate it hands to the next step, so F and J must
+    # still be checked where they enter
+    a, b = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0, 3.0])
+    problem = linear_problem(a, b)
+    problem = dataclasses.replace(
+        problem, **{broken: _poisoned_after_start(getattr(problem, broken), value)})
+    report = solve(problem, penalty, np.zeros(2))
+    assert report.status == SolveStatus.LEFT_DOMAIN
+    assert len(report.trace) == 1
+    assert np.isnan(report.trace[0].residual_norm) and np.isnan(report.objective)
+
+
+@pytest.mark.parametrize("penalty", [ZeroPenalty(),
+                                     BoxIndicator(Box(np.array([-np.inf]), np.array([np.inf])))])
+def test_non_finite_gauss_newton_point_ends_left_domain(penalty):
+    # F and J are finite, but the step F/J overflows
+    problem = Problem(n=1, m=1, residual=lambda x: np.array([1e150]),
+                      jacobian=lambda x: np.array([[1e-160]]))
+    report = solve(problem, penalty, np.zeros(1))
+    assert report.status == SolveStatus.LEFT_DOMAIN and report.trace == []
+    with pytest.raises(InvalidPointError):
+        gauss_newton_point(problem, np.zeros(1))
+
+
+def test_prox_gn_step_checks_x_without_hand_off():
+    problem = rosenbrock_problem()
+    with pytest.raises(ShapeMismatchError):
+        prox_gn_step(problem, ZeroPenalty(), np.zeros(3))
+    with pytest.raises(ValueError):
+        prox_gn_step(problem, ZeroPenalty(), np.array([np.nan, 0.0]))
 
 
 @pytest.mark.parametrize("name", ["kowalik", "osborne2"])

@@ -84,10 +84,9 @@ def _expand_config(argv: list[str]) -> list[str]:
             raise ValueError(f"{path}:{line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                injected.append(flag)
-        else:
+        if value.lower() == "true":
+            injected.append(flag)
+        elif value.lower() != "false":
             injected.extend([flag, value])
     head, tail = argv[:1], argv[1:]
     return head + injected + tail
@@ -135,17 +134,9 @@ def sample_starts(case: problems.BenchmarkCase, count: int, seed: int) -> list[n
     return [lo + rng.random(box.dimension) * (up - lo) for _ in range(count)]
 
 
-def run_benchmark(case: problems.BenchmarkCase, penalty, starts, cfg: SolverConfig):
-    """Solve from every start; per-start reports in start order."""
-    return [(x0, solve(case.problem, penalty, x0, cfg)) for x0 in starts]
-
-
 def _aggregate(results: list[tuple[np.ndarray, SolveReport]]):
     converged = [r for _, r in results if r.status == SolveStatus.CONVERGED]
-    if converged:
-        avg = Fraction(sum(r.iterations for r in converged), len(converged))
-    else:
-        avg = Fraction(0)
+    avg = Fraction(sum(r.iterations for r in converged), max(len(converged), 1))
     conditions = [rec.jacobian_condition for _, r in results for rec in r.trace]
     return len(converged), avg, (max(conditions) if conditions else 0.0)
 
@@ -257,7 +248,7 @@ def cmd_solve(args) -> int:
         seed = args.seed
         starts = sample_starts(case, args.starts, args.seed)
 
-    results = run_benchmark(case, penalty, starts, cfg)
+    results = [(x0, solve(case.problem, penalty, x0, cfg)) for x0 in starts]
     case_name = args.case or case.problem.name or "custom"
     if args.format == "json":
         text = _json_report(args, case_name, results, cfg, seed)

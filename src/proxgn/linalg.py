@@ -46,10 +46,9 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PinvResult:
-    """Pseudoinverse of a full-column-rank matrix plus rank diagnostics."""
+    """Pseudoinverse of a full-column-rank matrix."""
 
     pinv: np.ndarray
-    smallest_singular_value_estimate: float
 
 
 def operator_norm(a) -> float:
@@ -77,7 +76,7 @@ def pseudoinverse(a, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> PinvResu
             f"sigma_min={s[-1]:.3e} <= {rank_tolerance:.1e} * sigma_max={s[0]:.3e}"
         )
     pinv = (vt.T / s) @ u.T
-    return PinvResult(pinv=pinv, smallest_singular_value_estimate=float(s[-1]))
+    return PinvResult(pinv=pinv)
 
 
 def verify_penrose(a, p, tol: float) -> bool:

@@ -11,7 +11,7 @@ point.  For custom penalties it is computed by the projected-gradient
 
     v_{k+1} = P(v_k - sigma * H (v_k - z)),
 
-where P is the identity-metric prox of the penalty and sigma < 2/||H||.
+where P is the identity-metric prox of the penalty and sigma = 1/||H||.
 """
 from __future__ import annotations
 
@@ -26,10 +26,6 @@ from .linalg import RankDeficientError, ShapeMismatchError, as_matrix, as_vector
 
 class DimensionMismatchError(Exception):
     """Vector length does not match the expected dimension."""
-
-
-class StepTooLargeError(Exception):
-    """Fixed inner step size violates sigma < 2/||H||."""
 
 
 @dataclass(frozen=True)
@@ -91,25 +87,21 @@ class InnerConfig:
 
     ``max_iterations`` caps the BVLS iterations of a box prox (one
     least-squares solve and at most one active-set change each) and the
-    projected-gradient steps of a custom prox.  ``tolerance`` bounds the
+    projected-gradient steps of a custom prox, whose step sigma = 1/||H||
+    comes from the singular values of A.  ``tolerance`` bounds the
     last projected-gradient step of a custom prox; the box prox is exact and
     does not read it (``solve`` uses it only as the slack of its final
-    box-feasibility flag).  ``step_size`` None selects sigma = 1/||H||; a
-    fixed value must satisfy 0 < sigma < 2/||H|| at call time; only custom
-    proxes use it.
+    box-feasibility flag).
     """
 
     tolerance: float = 1e-12
     max_iterations: int = 10_000
-    step_size: float | None = None
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("fixed step size must be positive")
 
 
 @dataclass(frozen=True)
@@ -180,7 +172,8 @@ def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig(), *,
     A box penalty returns a feasible z unchanged with zero inner iterations.
     Otherwise BVLS solves the box prox exactly from the clamped point, and
     the KKT gap is computed once, at the point it returns.  H itself is
-    formed only for custom penalties.  Non-convergence within the iteration
+    formed only for custom penalties, whose loop steps by sigma = 1/||H||
+    = 1/sigma_max(A)^2.  Non-convergence within the iteration
     budget is reported through ``converged``, never raised.  ``_svals``, the
     singular values of ``a`` from a caller that has factorized ``a`` and so
     checked it and ``z``, spares a second factorization and both checks: the
@@ -197,10 +190,6 @@ def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig(), *,
     svals = np.linalg.svd(mat, compute_uv=False) if _svals is None else _svals
     if svals[-1] == 0.0:
         raise RankDeficientError("metric matrix A^T A is singular")
-    norm_h = float(svals[0]) ** 2
-    sigma = cfg.step_size if cfg.step_size is not None else 1.0 / norm_h
-    if cfg.step_size is not None and sigma >= 2.0 / norm_h:
-        raise StepTooLargeError(f"sigma={sigma:.3e} >= 2/||H||={2.0 / norm_h:.3e}")
 
     if isinstance(penalty, BoxIndicator):
         box = penalty.box
@@ -218,6 +207,7 @@ def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig(), *,
                            kkt_gap=math.sqrt(g @ g))
 
     h = mat.T @ mat
+    sigma = 1.0 / float(svals[0]) ** 2
     v = point.copy()
     apply_prox = penalty.prox_identity
     for k in range(1, cfg.max_iterations + 1):

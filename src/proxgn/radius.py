@@ -404,11 +404,10 @@ def convergence_radius(constants: ProblemConstants, average: LipschitzAverage,
 
     On a relative disagreement beyond 1e-9 the numeric root is kept and the
     summary carries a discrepancy flag.  ``r_bar_capped`` says that q stays
-    below 1 up to the sup radius, which is then returned as r_bar.
+    below 1 up to the sup radius, which is then returned as r_bar.  Inadmissible
+    constants raise ConditionViolatedError from ``r_bar_numeric``.
     """
     h, admissible = check_small_residual(constants, average(0.0))
-    if not admissible:
-        raise ConditionViolatedError(f"h={h:.6g} >= 1")
     r_sup = sup_radius(constants, average)
     numeric = r_bar_numeric(constants, average, mode, _sup=r_sup)
     closed = None

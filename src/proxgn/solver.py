@@ -28,7 +28,6 @@ import numpy as np
 from .linalg import DEFAULT_RANK_TOLERANCE, as_vector
 from .prox import (
     BoxIndicator,
-    CustomProx,
     InnerConfig,
     Penalty,
     ZeroPenalty,

@@ -8,6 +8,8 @@ eigenvalues for the constant-L convergence radius.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -66,6 +68,36 @@ def grid_golden_min(f, lo: float, hi: float, grid: int = 400) -> float:
     a = xs[max(i - 1, 0)]
     b = xs[min(i + 1, grid - 1)]
     return golden_section_min(f, a, b)
+
+
+def exact_box_prox(a, z, box) -> np.ndarray:
+    """argmin over the box of ||A(v - z)||^2 by enumerating all 3^n active sets.
+
+    Each coordinate sits at its lower bound, at its upper bound or is free;
+    the free part solves the reduced normal equations, and the cheapest
+    feasible candidate wins.  Exponential in the dimension, so small n only.
+    """
+    a = np.asarray(a, dtype=float)
+    point = np.asarray(z, dtype=float)
+    h = a.T @ a
+    hz = h @ point
+    best, best_val = None, np.inf
+    for pattern in itertools.product((-1, 0, 1), repeat=point.shape[0]):
+        side = np.array(pattern)
+        v = np.where(side < 0, box.lower, np.where(side > 0, box.upper, 0.0))
+        if not np.isfinite(v).all():
+            continue
+        free, fixed = side == 0, side != 0
+        if free.any():
+            rhs = hz[free] - h[np.ix_(free, fixed)] @ v[fixed]
+            v[free] = np.linalg.solve(h[np.ix_(free, free)], rhs)
+        if np.any(v < box.lower - 1e-9) or np.any(v > box.upper + 1e-9):
+            continue
+        d = v - point
+        val = 0.5 * float(d @ h @ d)
+        if val < best_val:
+            best, best_val = v, val
+    return best
 
 
 def random_conditioned(rng, m: int, n: int, smin: float = 0.7, smax: float = 1.6) -> np.ndarray:

@@ -36,9 +36,8 @@ from proxgn import (
     solve,
     verify_penrose,
 )
-from proxgn.checks import exact_box_prox
 from proxgn.cli import sample_starts
-from oracles import curved_embedding_problem, random_conditioned
+from oracles import curved_embedding_problem, exact_box_prox, random_conditioned
 
 SEED = 7
 STARTS = 20

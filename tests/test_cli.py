@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -226,6 +227,64 @@ class TestValidateCommand:
         assert "reference.stationarity" in out
         assert "FAIL" in out
         assert "osborne2" in out
+
+    @staticmethod
+    def statuses(out):
+        return {line.split()[0]: line.split()[1] for line in out.splitlines()[:-1]}
+
+    def test_names_in_order(self, capsys):
+        code, out = run_cli(["validate"], capsys)
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()[:-1]] == [
+            "penrose.equations", "penrose.perturbation", "penrose.operator_norm",
+            "prox.oracle", "prox.pullback", "prox.lipschitz", "prox.metric_variation",
+            "prox.certificate", "gamma.inequalities", "radius.closed_form",
+            "jacobian.finite_difference", "reference.stationarity",
+        ]
+
+    def test_bvls_returning_its_start_fails_oracle(self, capsys, monkeypatch):
+        from proxgn import prox
+
+        monkeypatch.setattr(prox, "_bvls", lambda mat, z, start, box, cap: (start, 1, True))
+        code, out = run_cli(["validate", "--filter", "prox"], capsys)
+        assert code == 1
+        assert self.statuses(out)["prox.oracle"] == "FAIL"
+
+    @pytest.mark.parametrize("cap", ["one_step", "flag_only"])
+    def test_capped_reference_fails(self, cap, capsys, monkeypatch):
+        # the projected-gradient reference that prox.oracle and prox.pullback
+        # compare BVLS with must converge; "flag_only" keeps the converged
+        # point but reports the cap, so only the flag can fail the check
+        from proxgn import CustomProx, InnerConfig
+
+        real = cli.checks.prox_metric
+
+        def capped(penalty, a, z, cfg=InnerConfig()):
+            if not isinstance(penalty, CustomProx):
+                return real(penalty, a, z, cfg)
+            if cap == "one_step":
+                return real(penalty, a, z, InnerConfig(max_iterations=1))
+            return dataclasses.replace(real(penalty, a, z, cfg), converged=False)
+
+        monkeypatch.setattr(cli.checks, "prox_metric", capped)
+        code, out = run_cli(["validate", "--filter", "prox"], capsys)
+        assert code == 1
+        status = self.statuses(out)
+        assert status["prox.oracle"] == status["prox.pullback"] == "FAIL"
+        assert "capped" in out
+        assert status["prox.certificate"] == "PASS"
+
+    def test_error_fails_its_check(self, capsys, monkeypatch):
+        from proxgn import RankDeficientError
+
+        def broken(a, rank_tolerance=1e-10):
+            raise RankDeficientError("injected")
+
+        monkeypatch.setattr(cli.checks, "pseudoinverse", broken)
+        code, out = run_cli(["validate", "--filter", "penrose.perturbation"], capsys)
+        assert code == 1
+        assert "penrose.perturbation" in out and "FAIL" in out
+        assert "RankDeficientError: injected" in out
 
 
 class TestRounding:

@@ -7,7 +7,6 @@ from proxgn import (
     CustomProx,
     DimensionMismatchError,
     InnerConfig,
-    StepTooLargeError,
     ZeroPenalty,
     normal_cone_gap,
     operator_norm,
@@ -17,8 +16,7 @@ from proxgn import (
     pseudoinverse,
 )
 from proxgn import prox
-from proxgn.checks import exact_box_prox
-from oracles import grid_golden_min, random_conditioned
+from oracles import exact_box_prox, grid_golden_min, random_conditioned
 
 INF = np.inf
 
@@ -131,18 +129,6 @@ class TestProxMetric:
             got = prox_metric(BoxIndicator(box), a, z, cfg)
             want = exact_box_prox(a, z, box)
             assert np.linalg.norm(got.point - want) <= 10.0 * cfg.tolerance
-
-    def test_fixed_step_rules(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((4, 2))
-        norm_h = operator_norm(a) ** 2
-        box = Box(-np.ones(2), np.ones(2))
-        z = np.array([2.0, 2.0])
-        with pytest.raises(StepTooLargeError):
-            prox_metric(BoxIndicator(box), a, z, InnerConfig(step_size=2.0 / norm_h))
-        ok = prox_metric(BoxIndicator(box), a, z, InnerConfig(step_size=1.5 / norm_h))
-        want = exact_box_prox(a, z, box)
-        assert np.linalg.norm(ok.point - want) <= 1e-11
 
     def test_non_convergence_is_reported_not_raised(self):
         # the box projection as a custom prox runs the projected-gradient

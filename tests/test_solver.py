@@ -33,9 +33,8 @@ from proxgn import (
     stationarity_residual,
 )
 from proxgn import solver as solver_module
-from proxgn.checks import exact_box_prox
 from proxgn.cli import sample_starts
-from oracles import box_kkt_gap, curved_embedding_problem, normal_equation_pinv
+from oracles import box_kkt_gap, curved_embedding_problem, exact_box_prox, normal_equation_pinv
 
 
 def linear_problem(a, b):

@@ -75,7 +75,6 @@ class CustomProx:
     """User-supplied identity-metric prox (must be firmly nonexpansive)."""
 
     prox_identity: Callable[[np.ndarray], np.ndarray]
-    description: str = ""
 
 
 Penalty = Union[ZeroPenalty, BoxIndicator, CustomProx]
@@ -90,8 +89,7 @@ class InnerConfig:
     projected-gradient steps of a custom prox, whose step sigma = 1/||H||
     comes from the singular values of A.  ``tolerance`` bounds the
     last projected-gradient step of a custom prox; the box prox is exact and
-    does not read it (``solve`` uses it only as the slack of its final
-    box-feasibility flag).
+    does not read it.
     """
 
     tolerance: float = 1e-12
@@ -157,11 +155,14 @@ def normal_cone_gap(v, box: Box, x, atol: float = 0.0) -> np.ndarray:
     p = as_vector(x, box.dimension)
     if g.shape[0] != box.dimension:
         raise DimensionMismatchError("gap vector and box dimensions differ")
+    return _cone_gap(g, box, p, atol)
+
+
+def _cone_gap(g: np.ndarray, box: Box, p: np.ndarray, atol: float) -> np.ndarray:
+    """normal_cone_gap(g, box, p, atol) for checked inputs, overwriting g."""
     slack = atol * (1.0 + np.abs(p))
-    at_lower = p - box.lower <= slack
-    at_upper = box.upper - p <= slack
-    g[at_lower] = np.maximum(g[at_lower], 0.0)
-    g[at_upper] = np.minimum(g[at_upper], 0.0)
+    np.maximum(g, 0.0, out=g, where=p - box.lower <= slack)
+    np.minimum(g, 0.0, out=g, where=box.upper - p <= slack)
     return g
 
 
@@ -199,10 +200,7 @@ def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig(), *,
             return ProxOutcome(point=point, inner_iterations=0, converged=True, kkt_gap=0.0)
         start = np.minimum(np.maximum(point, box.lower), box.upper)
         p, k, converged = _bvls(mat, point, start, box, cfg.max_iterations)
-        # normal_cone_gap(A^T A(z - p), box, p) with atol = 0, inputs known valid
-        g = mat.T @ (mat @ (point - p))
-        np.maximum(g, 0.0, out=g, where=p <= box.lower)
-        np.minimum(g, 0.0, out=g, where=p >= box.upper)
+        g = _cone_gap(mat.T @ (mat @ (point - p)), box, p, 0.0)
         return ProxOutcome(point=p, inner_iterations=k, converged=converged,
                            kkt_gap=math.sqrt(g @ g))
 

@@ -8,6 +8,9 @@ means
 
 which control the contraction factor q(r) of the proximal Gauss-Newton
 fixed-point map around a minimizer with constants (alpha, beta, kappa).
+Since gamma_c = 2*gamma_0 - gamma_1, q(r) and the constants C1, C2 need only
+integral_0^r L and integral_0^r u L: one adaptive Simpson pass yields both
+from the same evaluations of L, so each radius point r costs one pass.
 The convergence radius r_bar is where q crosses 1, a root found by Brent's
 method; for constant L it has a closed form via a quadratic in z = beta*L*r.
 """
@@ -104,77 +107,69 @@ class LipschitzAverage:
         return float(self._fn(u))
 
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                      rel_tol: float = QUADRATURE_REL_TOL) -> float:
-    """Adaptive Simpson quadrature with interval refinement.
+def _integral_means(average: LipschitzAverage, lam: float, r: float) -> tuple[float, float]:
+    """(gamma_0(r), gamma_lam(r)) from one adaptive Simpson pass over L.
 
-    The first few levels refine unconditionally: on kinked integrands the
-    half-interval estimates can agree with the whole by cancellation while
-    both are wrong, so the acceptance test alone is not trustworthy early.
+    Each piece of [0, r] between the average's knots is integrated once for
+    the pair (L, u^lam L): both share every evaluation of L, and an interval
+    is accepted only when each meets its own relative tolerance.  The first
+    few levels refine unconditionally: on kinked integrands the half-interval
+    estimates can agree with the whole by cancellation while both are wrong,
+    so the acceptance test alone is not trustworthy early.
     """
+    if r < 0 or r >= average.upper_limit:
+        raise OutOfDomainError(f"r={r} outside [0, {average.upper_limit})")
+    if average.is_constant or r == 0.0:
+        l_zero = average.constant_value if average.is_constant else average(0.0)
+        return l_zero, l_zero / (1.0 + lam)
 
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+    def pair(u):
+        v = average(u)
+        return v, (u ** lam) * v
 
-    def recurse(lo, hi, flo, fmid, fhi, whole, tol, depth):
+    # a suffix 0 marks the L component, 1 the u^lam L component; (a, m, b)
+    # are the values at lo, mid and hi, w the Simpson estimate, t the tolerance
+    def recurse(lo, hi, a0, a1, m0, m1, b0, b1, w0, w1, t0, t1, depth):
         mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        fl = f(lmid)
-        fr = f(rmid)
-        left = simpson(lo, mid, flo, fl, fmid)
-        right = simpson(mid, hi, fmid, fr, fhi)
-        if depth <= 0 or (depth <= 44 and abs(left + right - whole) <= 15.0 * tol):
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(lo, mid, flo, fl, fmid, left, 0.5 * tol, depth - 1)
-                + recurse(mid, hi, fmid, fr, fhi, right, 0.5 * tol, depth - 1))
+        l0, l1 = pair(0.5 * (lo + mid))
+        r0, r1 = pair(0.5 * (mid + hi))
+        wl, wr = (mid - lo) / 6.0, (hi - mid) / 6.0
+        left0, left1 = wl * (a0 + 4.0 * l0 + m0), wl * (a1 + 4.0 * l1 + m1)
+        right0, right1 = wr * (m0 + 4.0 * r0 + b0), wr * (m1 + 4.0 * r1 + b1)
+        e0, e1 = left0 + right0 - w0, left1 + right1 - w1
+        if depth <= 0 or (depth <= 44 and abs(e0) <= 15.0 * t0 and abs(e1) <= 15.0 * t1):
+            return left0 + right0 + e0 / 15.0, left1 + right1 + e1 / 15.0
+        t0, t1 = 0.5 * t0, 0.5 * t1
+        x0, x1 = recurse(lo, mid, a0, a1, l0, l1, m0, m1, left0, left1, t0, t1, depth - 1)
+        y0, y1 = recurse(mid, hi, m0, m1, r0, r1, b0, b1, right0, right1, t0, t1, depth - 1)
+        return x0 + y0, x1 + y1
 
-    if b <= a:
-        return 0.0
-    mid = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(mid), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    scale = max(abs(whole), (b - a) * max(abs(fa), abs(fm), abs(fb)), 1e-300)
-    return recurse(a, b, fa, fm, fb, whole, rel_tol * scale, 48)
-
-
-def _integrate(average: LipschitzAverage, f: Callable[[float], float],
-               a: float, b: float) -> float:
-    """Integrate f over [a, b], splitting at the average's known kinks."""
-    if average.breakpoints is None:
-        return _adaptive_simpson(f, a, b)
-    cuts = [a] + [float(u) for u in average.breakpoints if a < u < b] + [b]
-    return sum(_adaptive_simpson(f, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+    knots = () if average.breakpoints is None else average.breakpoints
+    cuts = [0.0] + [float(u) for u in knots if 0.0 < u < r] + [r]
+    int0 = int_lam = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        (a0, a1), (m0, m1), (b0, b1) = pair(lo), pair(0.5 * (lo + hi)), pair(hi)
+        w = (hi - lo) / 6.0
+        w0, w1 = w * (a0 + 4.0 * m0 + b0), w * (a1 + 4.0 * m1 + b1)
+        t0 = QUADRATURE_REL_TOL * max(abs(w0), (hi - lo) * max(abs(a0), abs(m0), abs(b0)), 1e-300)
+        t1 = QUADRATURE_REL_TOL * max(abs(w1), (hi - lo) * max(abs(a1), abs(m1), abs(b1)), 1e-300)
+        part0, part_lam = recurse(lo, hi, a0, a1, m0, m1, b0, b1, w0, w1, t0, t1, 48)
+        int0 += part0
+        int_lam += part_lam
+    return int0 / r, int_lam / (r ** (1.0 + lam))
 
 
 def gamma_lambda(average: LipschitzAverage, lam: float, r: float) -> float:
     """Integral mean r^{-(1+lam)} * integral_0^r u^lam L(u) du; L(0)/(1+lam) at r=0."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if r < 0 or r >= average.upper_limit:
-        raise OutOfDomainError(f"r={r} outside [0, {average.upper_limit})")
-    if average.is_constant:
-        return average.constant_value / (1.0 + lam)
-    if r == 0.0:
-        return average(0.0) / (1.0 + lam)
-    integral = _integrate(average, lambda u: (u ** lam) * average(u), 0.0, r)
-    return integral / (r ** (1.0 + lam))
+    return _integral_means(average, lam, r)[1]
 
 
 def gamma_c(average: LipschitzAverage, r: float) -> float:
-    """Integral mean r^{-2} * integral_0^r (2r - u) L(u) du; 3 L(0)/2 at r=0.
-
-    Satisfies the identity gamma_c = 2*gamma_0 - gamma_1, which the tests
-    verify against this direct quadrature.
-    """
-    if r < 0 or r >= average.upper_limit:
-        raise OutOfDomainError(f"r={r} outside [0, {average.upper_limit})")
-    if average.is_constant:
-        return 1.5 * average.constant_value
-    if r == 0.0:
-        return 1.5 * average(0.0)
-    integral = _integrate(average, lambda u: (2.0 * r - u) * average(u), 0.0, r)
-    return integral / (r * r)
+    """r^{-2} * integral_0^r (2r - u) L(u) du = 2*gamma_0 - gamma_1, one pass; 3 L(0)/2 at r=0."""
+    g0, g1 = _integral_means(average, 1.0, r)
+    return 2.0 * g0 - g1
 
 
 @dataclass(frozen=True)
@@ -209,10 +204,18 @@ def check_small_residual(constants: ProblemConstants, l_zero: float) -> tuple[fl
     return h, h < 1.0
 
 
-def _gamma_mode(average: LipschitzAverage, mode: LipschitzMode, r: float) -> float:
-    if mode == LipschitzMode.CENTER:
-        return gamma_c(average, r)
-    return gamma_lambda(average, 1.0, r)
+def _q_means(constants: ProblemConstants, average: LipschitzAverage,
+             mode: LipschitzMode, r: float) -> tuple[float, float, float]:
+    """(gamma_0, gamma_c or gamma_1 by mode, 1 - beta*gamma_0*r) at r, from one pass over L.
+
+    Raises OutOfDomainError at or past the pole, where 1 - beta*gamma_0*r <= 0.
+    """
+    g0, g1 = _integral_means(average, 1.0, r)
+    gm = 2.0 * g0 - g1 if mode == LipschitzMode.CENTER else g1
+    den = 1.0 - constants.beta * g0 * r
+    if den <= 0.0:
+        raise OutOfDomainError(f"r={r} at or past the pole of q (1 - beta*gamma_0*r <= 0)")
+    return g0, gm, den
 
 
 def q_factor(constants: ProblemConstants, average: LipschitzAverage,
@@ -225,11 +228,7 @@ def q_factor(constants: ProblemConstants, average: LipschitzAverage,
     with gm = gamma_c or gamma_1 depending on the mode.
     """
     a, b, k = constants.alpha, constants.beta, constants.kappa
-    g0 = gamma_lambda(average, 0.0, r)
-    gm = _gamma_mode(average, mode, r)
-    den = 1.0 - b * g0 * r
-    if den <= 0.0:
-        raise OutOfDomainError(f"r={r} at or past the pole of q (1 - beta*gamma_0*r <= 0)")
+    g0, gm, den = _q_means(constants, average, mode, r)
     numerator = (b * g0 * gm * r * r
                  + k * gm * r
                  + SQRT2_PLUS_1 * a * b * b * g0 * g0 * r
@@ -375,11 +374,7 @@ def contraction_constants(constants: ProblemConstants, average: LipschitzAverage
     if rho0 < 0:
         raise OutOfDomainError("rho0 must be nonnegative")
     a, b, k = constants.alpha, constants.beta, constants.kappa
-    g0 = gamma_lambda(average, 0.0, rho0)
-    gm = _gamma_mode(average, mode, rho0)
-    den = 1.0 - b * g0 * rho0
-    if den <= 0.0:
-        raise OutOfDomainError(f"rho0={rho0} at or past the pole (1 - beta*gamma_0*rho0 <= 0)")
+    g0, gm, den = _q_means(constants, average, mode, rho0)
     c1 = (SQRT2_PLUS_1 * k + 1.0) * a * b * b * g0 / (den * den)
     c2 = (k * b * gm + SQRT2_PLUS_1 * a * b ** 3 * g0 * g0 + b * b * g0 * gm * rho0) / (den * den)
     return c1, c2

@@ -25,14 +25,14 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOLERANCE, as_vector
+from .linalg import DEFAULT_RANK_TOLERANCE, ShapeMismatchError, as_vector
 from .prox import (
     BoxIndicator,
     InnerConfig,
     Penalty,
     ZeroPenalty,
+    _cone_gap,
     normal_cone_gap,
-    project_box,
     prox_metric,
 )
 
@@ -117,7 +117,6 @@ class SolveReport:
     final_x: np.ndarray
     trace: list[IterationRecord]
     objective: float
-    penalty_feasible: bool
     projected_start: bool = False
     stationarity_residual: float = float("nan")
 
@@ -205,12 +204,18 @@ def solve(problem: Problem, penalty: Penalty, x0, cfg: SolverConfig = SolverConf
     Terminal conditions are encoded in the report status: convergence,
     iteration budget, numerical rank loss of the Jacobian, or an iterate
     leaving the validity domain.  An infeasible start for a box penalty is
-    projected onto the box first and flagged.
+    projected onto the box first and flagged; every later iterate is a box
+    prox output, so the final x lies in the box.
     """
     x = as_vector(x0, problem.n)
-    projected_start = isinstance(penalty, BoxIndicator) and not penalty.box.contains(x)
-    if projected_start:
-        x = project_box(x, penalty.box)
+    projected_start = False
+    if isinstance(penalty, BoxIndicator):
+        box = penalty.box
+        if box.dimension != problem.n:
+            raise ShapeMismatchError(f"box has dimension {box.dimension}, problem n={problem.n}")
+        projected_start = not ((box.lower <= x) & (x <= box.upper)).all()
+        if projected_start:
+            x = np.minimum(np.maximum(x, box.lower), box.upper)
 
     trace: list[IterationRecord] = []
     status = SolveStatus.MAX_ITERATIONS
@@ -236,11 +241,8 @@ def solve(problem: Problem, penalty: Penalty, x0, cfg: SolverConfig = SolverConf
         objective = 0.5 * float(fj[0] @ fj[0])
         with suppress(JacobianRankDeficientError):
             stationarity = stationarity_residual(problem, penalty, x, cfg.rank_tolerance, _fj=fj)
-    feasible = (not isinstance(penalty, BoxIndicator)
-                or penalty.box.contains(x, atol=cfg.inner.tolerance))
     return SolveReport(status=status, final_x=x, trace=trace, objective=objective,
-                       penalty_feasible=feasible, projected_start=projected_start,
-                       stationarity_residual=stationarity)
+                       projected_start=projected_start, stationarity_residual=stationarity)
 
 
 def stationarity_residual(
@@ -257,7 +259,7 @@ def stationarity_residual(
     norm of the componentwise distance of -F'(x)^T F(x) from the normal
     cone of the box at x.  Custom prox: the fixed-point residual
     ||x - prox_J^H(x - F'(x)^dag F(x))||.  ``_fj`` is (F, J) at x when the
-    caller already has it; x is then trusted as already checked.
+    caller already has it; x and the box are then trusted as already checked.
     """
     xv = as_vector(x, problem.n) if _fj is None else x
     f, j = _evaluate(problem, xv) if _fj is None else _fj
@@ -265,8 +267,8 @@ def stationarity_residual(
     if isinstance(penalty, ZeroPenalty):
         return float(np.linalg.norm(gradient))
     if isinstance(penalty, BoxIndicator):
-        gap = normal_cone_gap(-gradient, penalty.box, xv, atol=1e-14)
-        return float(np.linalg.norm(gap))
+        cone_gap = normal_cone_gap if _fj is None else _cone_gap
+        return float(np.linalg.norm(cone_gap(-gradient, penalty.box, xv, 1e-14)))
     z, svals = _gn_core(xv, f, j, rank_tol)
     outcome = prox_metric(penalty, j, z, _svals=svals)
     return float(np.linalg.norm(xv - outcome.point))

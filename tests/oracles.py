@@ -3,8 +3,9 @@
 These deliberately use different algorithms from the package: dense
 normal-equation solves for pseudoinverses, power iteration for spectral
 norms, grid + golden-section scans for one-dimensional proxes,
-active-set enumeration for box-constrained quadratics, and companion-matrix
-eigenvalues for the constant-L convergence radius.
+active-set enumeration for box-constrained quadratics, companion-matrix
+eigenvalues for the constant-L convergence radius, and fixed Gauss-Legendre
+rules for the integral means.
 """
 from __future__ import annotations
 
@@ -159,3 +160,27 @@ def quadratic_radius(alpha: float, beta: float, kappa: float, l_const: float, mo
     z = [float(r.real) for r in roots if r.imag == 0.0 and 0.0 < r.real < 1.0]
     assert len(z) == 1, roots
     return z[0] / (beta * l_const)
+
+
+def gauss_legendre_means(average, r: float, knots=()) -> tuple[float, float, float]:
+    """(gamma_0, gamma_1, gamma_c) at r by the 3-node Gauss-Legendre rule on each knot piece.
+
+    The rule is exact for polynomials of degree 5, so for averages that are
+    polynomial of degree <= 3 between knots (constant, affine, piecewise
+    linear) every integrand L, u L and (2r - u) L is integrated exactly.
+    gamma_c is integrated directly, not through 2 gamma_0 - gamma_1.
+    """
+    if r == 0.0:
+        l_zero = average(0.0)
+        return l_zero, l_zero / 2.0, 1.5 * l_zero
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    cuts = [0.0] + [float(u) for u in knots if 0.0 < u < r] + [r]
+    i0 = i1 = ic = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        us = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+        ws = 0.5 * (hi - lo) * weights
+        ls = np.array([average(u) for u in us])
+        i0 += float(ws @ ls)
+        i1 += float(ws @ (us * ls))
+        ic += float(ws @ ((2.0 * r - us) * ls))
+    return i0 / r, i1 / r ** 2, ic / r ** 2

@@ -22,6 +22,8 @@ from proxgn import (
     SolveStatus,
     SolverConfig,
     gauss_newton_point,
+    gamma_c,
+    gamma_lambda,
     get_case,
     operator_norm,
     prox_metric,
@@ -117,6 +119,29 @@ def test_benchmark_minimizers_match_trust_region(name):
 
 
 _KNOTS = np.linspace(0.0, 1.0 / 1.2, 9)
+
+
+@pytest.mark.parametrize("kind", ["callable", "tabulated"])
+def test_integral_means_match_quadpack(kind):
+    # L = l0 (1 + s u)^p with a non-integer power is no polynomial, so the
+    # adaptive Simpson pass meets its tolerance rather than being exact
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        l0, s, p = 10.0 ** rng.uniform(-0.5, 0.5), rng.uniform(0.2, 5.0), rng.uniform(0.5, 3.0)
+        top = rng.uniform(0.2, 2.0)
+        if kind == "tabulated":
+            knots = np.linspace(0.0, top, 9)
+            average = LipschitzAverage.tabulated(knots, l0 * (1.0 + s * knots) ** p)
+        else:
+            knots = ()
+            average = LipschitzAverage.from_callable(lambda u: l0 * (1.0 + s * u) ** p)
+        r = rng.uniform(0.01, 1.2 * top)
+        opts = dict(epsabs=0.0, epsrel=1e-13, limit=200,
+                    points=[float(u) for u in knots if 0.0 < u < r] or None)
+        want = [scipy.integrate.quad(lambda u: w(u) * average(u), 0.0, r, **opts)[0] / r ** k
+                for w, k in ((lambda u: 1.0, 1), (lambda u: u, 2), (lambda u: 2.0 * r - u, 2))]
+        got = [gamma_lambda(average, 0.0, r), gamma_lambda(average, 1.0, r), gamma_c(average, r)]
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("mode", [LipschitzMode.CENTER, LipschitzMode.RADIUS])

@@ -165,7 +165,7 @@ class TestProxMetric:
         def soft(v):
             return np.sign(v) * np.maximum(np.abs(v) - shrink, 0.0)
 
-        out = prox_metric(CustomProx(soft, "l1"), np.eye(3), np.array([1.0, -0.2, 0.01]))
+        out = prox_metric(CustomProx(soft), np.eye(3), np.array([1.0, -0.2, 0.01]))
         assert out.converged
         # H = I and sigma = 1 make the loop's fixed point the exact prox
         assert np.allclose(out.point, soft(np.array([1.0, -0.2, 0.01])), atol=1e-11)
@@ -313,7 +313,7 @@ def test_prox_metric_dimension_mismatch():
 
 
 PENALTIES = [ZeroPenalty(), BoxIndicator(Box(-np.ones(2), np.ones(2))),
-             CustomProx(lambda v: np.clip(v, -1.0, 1.0), "clip")]
+             CustomProx(lambda v: np.clip(v, -1.0, 1.0))]
 
 
 @pytest.mark.parametrize("penalty", PENALTIES)

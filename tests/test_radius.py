@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import quadratic_radius
+from oracles import gauss_legendre_means, quadratic_radius
 from proxgn import radius
 from proxgn import (
     ConditionViolatedError,
@@ -102,6 +102,7 @@ class TestGammas:
     ], ids=["constant", "linear", "tabulated"])
     def test_inequalities_and_identity(self, avg):
         grid = np.linspace(0.0, 3.5, 29)
+        knots = () if avg.breakpoints is None else avg.breakpoints
         prev = None
         for r in grid:
             g0 = gamma_lambda(avg, 0.0, r)
@@ -111,7 +112,9 @@ class TestGammas:
             assert g0 <= lr * (1 + 1e-9)
             assert 2.0 * g1 <= lr * (1 + 1e-9)
             assert 2.0 * gc <= (2.0 * g0 + lr) * (1 + 1e-9)
-            assert gc == pytest.approx(2.0 * g0 - g1, rel=1e-10)
+            # gamma_c is 2 gamma_0 - gamma_1 in the library; the oracle integrates it directly
+            assert (g0, g1, gc) == pytest.approx(gauss_legendre_means(avg, r, knots),
+                                                 rel=1e-12, abs=0)
             if prev is not None:
                 p0, p1, pc, pr = prev
                 assert g0 >= p0 - 1e-10 * max(1.0, p0)
@@ -451,3 +454,28 @@ def test_convergence_radius_computes_sup_radius_once(monkeypatch):
     sup_calls = _count_calls(monkeypatch, "sup_radius")
     convergence_radius(BUDGET_CONSTANTS, BUDGET_AVERAGES["callable"], CENTER)
     assert len(sup_calls) == 1
+
+
+def test_q_factor_makes_one_pass_over_the_average(monkeypatch):
+    # gamma_c = 2 gamma_0 - gamma_1, so q and (C1, C2) need only the pair
+    # (integral L, integral u L), which one pass over L yields: no more L
+    # evaluations than gamma_0 alone
+    calls = []
+    evaluate = LipschitzAverage.__call__
+
+    def counted(average, u):
+        calls.append(u)
+        return evaluate(average, u)
+
+    monkeypatch.setattr(LipschitzAverage, "__call__", counted)
+    avg = BUDGET_AVERAGES["callable"]
+    r = 0.5 * sup_radius(BUDGET_CONSTANTS, avg)
+    calls.clear()
+    gamma_lambda(avg, 0.0, r)
+    gamma_0_calls = len(calls)
+    for mode in (CENTER, RADIUS):
+        for one_point in (lambda: q_factor(BUDGET_CONSTANTS, avg, mode, r),
+                          lambda: contraction_constants(BUDGET_CONSTANTS, avg, mode, r)):
+            calls.clear()
+            one_point()
+            assert 0 < len(calls) <= gamma_0_calls

@@ -142,7 +142,7 @@ class TestSolve:
         assert report.status == SolveStatus.CONVERGED
         assert np.max(np.abs(report.final_x - case.reference_x)) <= 1e-4
         assert 3 <= report.iterations <= 14
-        assert report.penalty_feasible
+        assert np.all((case.box.lower <= report.final_x) & (report.final_x <= case.box.upper))
 
     def test_start_at_fixed_point_terminates_fast(self):
         case = get_case("rosenbrock")
@@ -231,7 +231,7 @@ class TestStationarity:
 
     def test_custom_prox_fixed_point_route(self):
         problem = curved_embedding_problem(1.0)
-        penalty = CustomProx(lambda v: v, "identity")
+        penalty = CustomProx(lambda v: v)
         assert stationarity_residual(problem, penalty, np.zeros(2)) <= 1e-12
         assert stationarity_residual(problem, penalty, np.array([0.2, 0.0])) > 1e-3
 
@@ -345,8 +345,7 @@ def test_solve_with_custom_prox_projection_matches_box_run():
     box = Box(np.array([0.05, -1.0]), np.array([1.0, 1.0]))
     x0 = np.array([0.8, 0.3])
     via_box = solve(problem, BoxIndicator(box), x0)
-    via_custom = solve(problem, CustomProx(lambda z: project_box(z, box), "box"),
-                       x0)
+    via_custom = solve(problem, CustomProx(lambda z: project_box(z, box)), x0)
     assert via_box.status == via_custom.status == SolveStatus.CONVERGED
     assert np.linalg.norm(via_box.final_x - via_custom.final_x) <= 1e-9
     assert all(not rec.gn_point_feasible for rec in via_custom.trace)
@@ -440,6 +439,14 @@ def test_non_finite_gauss_newton_point_ends_left_domain(penalty):
     assert report.status == SolveStatus.LEFT_DOMAIN and report.trace == []
     with pytest.raises(InvalidPointError):
         gauss_newton_point(problem, np.zeros(1))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_solve_rejects_box_of_another_dimension(dim):
+    # a length-1 box would broadcast against x silently
+    box = Box(np.full(dim, -2.0), np.full(dim, 2.0))
+    with pytest.raises(ShapeMismatchError):
+        solve(rosenbrock_problem(), BoxIndicator(box), np.zeros(2))
 
 
 def test_prox_gn_step_checks_x_without_hand_off():

@@ -17,6 +17,7 @@ method; for constant L it has a closed form via a quadratic in z = beta*L*r.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -40,8 +41,8 @@ class LipschitzAverage:
     """A positive, non-decreasing, continuous average L on [0, R).
 
     Construct through :meth:`constant`, :meth:`from_callable` or
-    :meth:`tabulated`.  Monotonicity and positivity of non-constant
-    averages are checked by sampling.
+    :meth:`tabulated`.  Finiteness, positivity and monotonicity of a
+    callable average are checked by sampling.
     """
 
     def __init__(self, fn: Callable[[float], float], upper_limit: float,
@@ -51,20 +52,20 @@ class LipschitzAverage:
         self.upper_limit = float(upper_limit)
         self.constant_value = constant_value
         self.breakpoints = breakpoints
-        if self.upper_limit <= 0:
+        if not self.upper_limit > 0:
             raise ValueError("upper domain limit must be positive")
 
     @classmethod
     def constant(cls, value: float) -> "LipschitzAverage":
-        if value <= 0:
-            raise ValueError("a constant average must be positive")
         v = float(value)
+        if not 0.0 < v < math.inf:
+            raise ValueError("a constant average must be positive and finite")
         return cls(lambda _u: v, math.inf, constant_value=v)
 
     @classmethod
     def from_callable(cls, fn: Callable[[float], float],
                       upper_limit: float = math.inf) -> "LipschitzAverage":
-        avg = cls(lambda u: float(fn(u)), upper_limit)
+        avg = cls(fn, upper_limit)
         avg._check_samples()
         return avg
 
@@ -72,24 +73,44 @@ class LipschitzAverage:
     def tabulated(cls, points, values, upper_limit: float | None = None) -> "LipschitzAverage":
         """Monotone piecewise-linear interpolant of (points, values).
 
-        Beyond the last sample the value is held constant, so the default
-        domain is unbounded.
+        The first value is held below a first sample above 0, and the last
+        value beyond the last sample, so the default domain is unbounded.
+        The samples are copied, and L is evaluated in Python floats with
+        numpy.interp's formula, so it equals np.interp bitwise.
         """
-        us = np.asarray(points, dtype=float)
-        vs = np.asarray(values, dtype=float)
+        us = np.array(points, dtype=float)
+        vs = np.array(values, dtype=float)
         if us.ndim != 1 or us.shape != vs.shape or us.size < 2:
             raise ValueError("need matching 1-d sample arrays with at least 2 points")
+        if not (np.all(np.isfinite(us)) and np.all(np.isfinite(vs))):
+            raise ValueError("sample abscissae and values must be finite")
         if np.any(np.diff(us) <= 0) or us[0] < 0:
             raise ValueError("sample abscissae must be nonnegative and increasing")
         if np.any(vs <= 0) or np.any(np.diff(vs) < 0):
             raise ValueError("sample values must be positive and non-decreasing")
+        xs, ys = us.tolist(), vs.tolist()
+        slopes = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
+        if not all(math.isfinite(s) for s in slopes):
+            raise ValueError("sample slopes overflow")
+        first, last, pieces = ys[0], ys[-1], len(slopes)
+
+        def interp(u: float) -> float:
+            j = bisect_right(xs, u) - 1
+            if j < 0:
+                return first
+            if j >= pieces:
+                return last
+            return slopes[j] * (u - xs[j]) + ys[j]
+
         limit = math.inf if upper_limit is None else float(upper_limit)
-        return cls(lambda u: float(np.interp(u, us, vs)), limit, breakpoints=us.copy())
+        return cls(interp, limit, breakpoints=us)
 
     def _check_samples(self, count: int = 65):
         span = self.upper_limit if math.isfinite(self.upper_limit) else 16.0
         grid = np.linspace(0.0, span * (1.0 - 1e-12), count)
-        vals = np.array([self._fn(u) for u in grid])
+        vals = np.array([float(self._fn(u)) for u in grid])
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("average must be finite on [0, R)")
         # L(0) = 0 is tolerated so the integral means stay usable for
         # averages like L(u) = u; positivity is required away from 0
         if vals[0] < 0 or np.any(vals[1:] <= 0):
@@ -102,7 +123,7 @@ class LipschitzAverage:
         return self.constant_value is not None
 
     def __call__(self, u: float) -> float:
-        if u < 0 or u >= self.upper_limit:
+        if not 0 <= u < self.upper_limit:
             raise OutOfDomainError(f"u={u} outside [0, {self.upper_limit})")
         return float(self._fn(u))
 
@@ -117,7 +138,7 @@ def _integral_means(average: LipschitzAverage, lam: float, r: float) -> tuple[fl
     estimates can agree with the whole by cancellation while both are wrong,
     so the acceptance test alone is not trustworthy early.
     """
-    if r < 0 or r >= average.upper_limit:
+    if not 0 <= r < average.upper_limit:
         raise OutOfDomainError(f"r={r} outside [0, {average.upper_limit})")
     if average.is_constant or r == 0.0:
         l_zero = average.constant_value if average.is_constant else average(0.0)
@@ -139,6 +160,10 @@ def _integral_means(average: LipschitzAverage, lam: float, r: float) -> tuple[fl
         e0, e1 = left0 + right0 - w0, left1 + right1 - w1
         if depth <= 0 or (depth <= 44 and abs(e0) <= 15.0 * t0 and abs(e1) <= 15.0 * t1):
             return left0 + right0 + e0 / 15.0, left1 + right1 + e1 / 15.0
+        # a non-finite value of L makes the error non-finite, which no
+        # tolerance accepts: without this test the pass would recurse 48 deep
+        if not abs(e0) + abs(e1) < math.inf:
+            raise ValueError(f"the average is not finite on [{lo!r}, {hi!r}]")
         t0, t1 = 0.5 * t0, 0.5 * t1
         x0, x1 = recurse(lo, mid, a0, a1, l0, l1, m0, m1, left0, left1, t0, t1, depth - 1)
         y0, y1 = recurse(mid, hi, m0, m1, r0, r1, b0, b1, right0, right1, t0, t1, depth - 1)
@@ -181,12 +206,12 @@ class ProblemConstants:
     kappa: float
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-        if self.kappa < 1:
-            raise ValueError("kappa must be >= 1")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and >= 0")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be finite and > 0")
+        if not 1 <= self.kappa < math.inf:
+            raise ValueError("kappa must be finite and >= 1")
 
 
 class LipschitzMode(str, Enum):
@@ -198,8 +223,8 @@ class LipschitzMode(str, Enum):
 
 def check_small_residual(constants: ProblemConstants, l_zero: float) -> tuple[float, bool]:
     """h = [(1+sqrt(2))*kappa + 1] * alpha * beta^2 * L(0); admissible iff h < 1."""
-    if l_zero <= 0:
-        raise ValueError("L(0) must be positive")
+    if not 0 < l_zero < math.inf:
+        raise ValueError("L(0) must be positive and finite")
     h = (SQRT2_PLUS_1 * constants.kappa + 1.0) * constants.alpha * constants.beta ** 2 * l_zero
     return h, h < 1.0
 
@@ -371,7 +396,7 @@ def contraction_constants(constants: ProblemConstants, average: LipschitzAverage
     C1 carries the residual term and vanishes exactly when alpha = 0; C2
     uses gamma_c in center mode and gamma_1 in radius mode.
     """
-    if rho0 < 0:
+    if not rho0 >= 0:
         raise OutOfDomainError("rho0 must be nonnegative")
     a, b, k = constants.alpha, constants.beta, constants.kappa
     g0, gm, den = _q_means(constants, average, mode, rho0)

@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +312,28 @@ class TestRobustness:
     def test_radius_zero_l0_exit_2(self):
         assert cli.main(["radius", "--alpha", "0", "--beta", "1", "--kappa", "1",
                          "--L-table", "0:0.0,1:2"]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--beta", "1", "--kappa", "2", "--L-table", "0:1,1:nan"],
+        ["--beta", "nan", "--kappa", "1", "--L", "1"],
+        ["--beta", "inf", "--kappa", "1", "--L", "1"],
+        ["--beta", "1", "--kappa", "1", "--L", "nan"],
+    ])
+    def test_radius_non_finite_input_exit_2(self, flags, capsys):
+        assert cli.main(["radius", "--alpha", "0", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "proxgn", "radius", "--alpha", "0",
+                               "--beta", "1", "--kappa", "1", "--L", "1"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "r_bar = " in done.stdout
 
 
 class TestTraceSchema:

@@ -479,3 +479,152 @@ def test_q_factor_makes_one_pass_over_the_average(monkeypatch):
             calls.clear()
             one_point()
             assert 0 < len(calls) <= gamma_0_calls
+
+
+def _random_table(rng):
+    """Knots starting at 0 or above it, increments over six decades, and
+    non-decreasing positive values with some flat pieces."""
+    size = int(rng.integers(2, 13))
+    start = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-3.0, 1.0)
+    us = start + np.concatenate(([0.0], np.cumsum(10.0 ** rng.uniform(-3.0, 3.0, size - 1))))
+    steps = np.where(rng.random(size - 1) < 0.2, 0.0, 10.0 ** rng.uniform(-4.0, 2.0, size - 1))
+    vs = 10.0 ** rng.uniform(-2.0, 2.0) + np.concatenate(([0.0], np.cumsum(steps)))
+    return us, vs
+
+
+def test_tabulated_equals_np_interp_bitwise():
+    rng = np.random.default_rng(18)
+    for _ in range(500):
+        us, vs = _random_table(rng)
+        avg = LipschitzAverage.tabulated(us, vs)
+        points = np.concatenate((rng.uniform(0.0, 1.5 * us[-1], 50), us,
+                                 [0.0, 0.5 * us[0], us[-1], 2.0 * us[-1], 1e300]))
+        for u in points.tolist():
+            assert avg(u).hex() == float(np.interp(u, us, vs)).hex(), (us, vs, u)
+
+
+def test_tabulated_copies_its_samples():
+    us = np.array([0.0, 0.5, 1.0])
+    vs = np.array([1.0, 2.0, 4.0])
+    avg = LipschitzAverage.tabulated(us, vs)
+    points = [0.0, 0.25, 0.5, 0.75, 1.0, 2.0]
+    before = [avg(u) for u in points]
+    us[1], vs[:] = 0.9, 3.0 * vs
+    assert [avg(u) for u in points] == before
+    assert avg.breakpoints.tolist() == [0.0, 0.5, 1.0]
+
+
+def test_callable_average_calls_fn_once_per_value_and_returns_float():
+    calls = []
+
+    def fn(u):
+        calls.append(u)
+        return np.float64(1.0 + u)
+
+    avg = LipschitzAverage.from_callable(fn)
+    calls.clear()
+    value = avg(0.5)
+    assert calls == [0.5]
+    assert type(value) is float and value == 1.5
+
+
+def test_callable_average_returning_an_array_is_rejected():
+    with pytest.raises(TypeError):
+        LipschitzAverage.from_callable(lambda u: np.array([1.0 + u, 2.0 + u]))
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("points, values", [
+    ([0.0, 1.0], [1.0, NAN]),
+    ([0.0, NAN], [1.0, 2.0]),
+    ([0.0, 1.0], [1.0, INF]),
+    ([0.0, INF], [1.0, 2.0]),
+    ([0.0, 1e-300], [1.0, 1e300]),  # the slope overflows
+])
+def test_tabulated_rejects_non_finite_samples(points, values):
+    with pytest.raises(ValueError):
+        LipschitzAverage.tabulated(points, values)
+
+
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_constant_rejects_non_finite_value(value):
+    with pytest.raises(ValueError):
+        LipschitzAverage.constant(value)
+
+
+def test_nan_upper_limit_is_rejected():
+    with pytest.raises(ValueError):
+        LipschitzAverage.from_callable(lambda u: 1.0 + u, upper_limit=NAN)
+    with pytest.raises(ValueError):
+        LipschitzAverage.tabulated([0.0, 1.0], [1.0, 2.0], upper_limit=NAN)
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "kappa"])
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_problem_constants_reject_non_finite(field, value):
+    args = {"alpha": 0.0, "beta": 1.0, "kappa": 1.0, field: value}
+    with pytest.raises(ValueError):
+        ProblemConstants(**args)
+
+
+@pytest.mark.parametrize("l_zero", [NAN, INF])
+def test_small_residual_rejects_non_finite_l_zero(l_zero):
+    with pytest.raises(ValueError):
+        check_small_residual(unit_constants(), l_zero)
+
+
+EVALUATION_LIMIT = 10 ** 5
+
+
+@pytest.fixture
+def bounded_evaluations(monkeypatch):
+    """Fail the test once any average has been evaluated EVALUATION_LIMIT times."""
+    calls = [0]
+    evaluate = LipschitzAverage.__call__
+
+    def counted(average, u):
+        calls[0] += 1
+        if calls[0] > EVALUATION_LIMIT:
+            pytest.fail(f"more than {EVALUATION_LIMIT} evaluations of L")
+        return evaluate(average, u)
+
+    monkeypatch.setattr(LipschitzAverage, "__call__", counted)
+    return calls
+
+
+NAN_RADIUS_CALLS = {
+    "gamma_0": lambda avg, r: gamma_lambda(avg, 0.0, r),
+    "gamma_c": gamma_c,
+    "q_factor": lambda avg, r: q_factor(unit_constants(0.01), avg, CENTER, r),
+    "contraction_constants":
+        lambda avg, r: contraction_constants(unit_constants(0.01), avg, RADIUS, r),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUDGET_AVERAGES))
+@pytest.mark.parametrize("name", sorted(NAN_RADIUS_CALLS))
+def test_nan_radius_raises(bounded_evaluations, kind, name):
+    with pytest.raises(OutOfDomainError):
+        NAN_RADIUS_CALLS[name](BUDGET_AVERAGES[kind], NAN)
+    with pytest.raises(OutOfDomainError):
+        BUDGET_AVERAGES[kind](NAN)
+
+
+def test_callable_non_finite_beyond_a_point_is_rejected(bounded_evaluations):
+    with pytest.raises(ValueError):
+        LipschitzAverage.from_callable(lambda u: 1.0 if u < 0.3 else NAN)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF])
+def test_quadrature_raises_on_non_finite_values_between_samples(bounded_evaluations, bad):
+    # construction samples L at multiples of 1/4 only, so this window passes
+    # it; the quadrature's first levels land inside the window
+    avg = LipschitzAverage.from_callable(lambda u: bad if 0.3 < u < 0.45 else 1.0 + u)
+    for evaluate in (lambda: gamma_lambda(avg, 0.0, 1.0),
+                     lambda: q_factor(unit_constants(0.01), avg, RADIUS, 0.4),
+                     lambda: sup_radius(unit_constants(), avg)):
+        bounded_evaluations[0] = 0
+        with pytest.raises(ValueError, match="not finite"):
+            evaluate()

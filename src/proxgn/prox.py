@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .linalg import RankDeficientError, ShapeMismatchError, as_matrix, as_vector
 
-
-class DimensionMismatchError(Exception):
-    """Vector length does not match the expected dimension."""
+DimensionMismatchError = ShapeMismatchError  # kept name of the one length-mismatch type
 
 
 @dataclass(frozen=True)
@@ -39,7 +37,7 @@ class Box:
         lo = np.asarray(self.lower, dtype=float)
         up = np.asarray(self.upper, dtype=float)
         if lo.ndim != 1 or lo.shape != up.shape or lo.size == 0:
-            raise DimensionMismatchError("bounds must be 1-d arrays of equal nonzero length")
+            raise ShapeMismatchError("bounds must be 1-d arrays of equal nonzero length")
         if np.any(np.isnan(lo)) or np.any(np.isnan(up)):
             raise ValueError("bounds must not be NaN")
         if np.any(lo > up):
@@ -56,28 +54,6 @@ class Box:
     def contains(self, x, atol: float = 0.0) -> bool:
         v = as_vector(x, self.dimension)
         return bool(np.all(v >= self.lower - atol) and np.all(v <= self.upper + atol))
-
-
-@dataclass(frozen=True)
-class ZeroPenalty:
-    """J = 0; the prox is the identity in every metric."""
-
-
-@dataclass(frozen=True)
-class BoxIndicator:
-    """J = indicator of a box; the prox is the H-metric projection."""
-
-    box: Box
-
-
-@dataclass(frozen=True)
-class CustomProx:
-    """User-supplied identity-metric prox (must be firmly nonexpansive)."""
-
-    prox_identity: Callable[[np.ndarray], np.ndarray]
-
-
-Penalty = Union[ZeroPenalty, BoxIndicator, CustomProx]
 
 
 @dataclass(frozen=True)
@@ -119,9 +95,7 @@ class ProxOutcome:
 
 def project_box(z, box: Box) -> np.ndarray:
     """Componentwise clamp of z onto the box (identity-metric projection)."""
-    v = as_vector(z)
-    if v.shape[0] != box.dimension:
-        raise DimensionMismatchError(f"point has length {v.shape[0]}, box has {box.dimension}")
+    v = as_vector(z, box.dimension)
     return np.minimum(np.maximum(v, box.lower), box.upper)
 
 
@@ -151,10 +125,8 @@ def normal_cone_gap(v, box: Box, x, atol: float = 0.0) -> np.ndarray:
     everywhere else the cone is {0} and the gap is v itself.  An infinite
     bound is never within reach, since x is finite.
     """
-    g = as_vector(v).copy()
+    g = as_vector(v, box.dimension).copy()
     p = as_vector(x, box.dimension)
-    if g.shape[0] != box.dimension:
-        raise DimensionMismatchError("gap vector and box dimensions differ")
     return _cone_gap(g, box, p, atol)
 
 
@@ -166,55 +138,104 @@ def _cone_gap(g: np.ndarray, box: Box, p: np.ndarray, atol: float) -> np.ndarray
     return g
 
 
+class Penalty:
+    """A convex penalty J, known to the solver only through three hooks.
+
+    ``_prox(mat, point, svals, cfg)`` is prox_J^H(point), H = mat^T mat, for
+    checked inputs and a full-rank ``mat`` with singular values ``svals``.
+    ``_stationarity(x, j, gradient, gn_point)`` is the violation of
+    -gradient in dJ(x); ``gn_point()`` gives (z, singular values of j).
+    ``_start(x)`` is a point of dom J: x itself when x lies there.
+    """
+
+    def _start(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+
+@dataclass(frozen=True)
+class ZeroPenalty(Penalty):
+    """J = 0; the prox is the identity in every metric."""
+
+    def _prox(self, mat, point, svals, cfg):
+        return ProxOutcome(point=point, inner_iterations=0, converged=True, kkt_gap=0.0)
+
+    def _stationarity(self, x, j, gradient, gn_point):
+        return float(np.linalg.norm(gradient))
+
+
+@dataclass(frozen=True)
+class BoxIndicator(Penalty):
+    """J = indicator of a box; the prox is the H-metric projection."""
+
+    box: Box
+
+    def _start(self, x):
+        box = self.box
+        if box.dimension != x.shape[0]:
+            raise ShapeMismatchError(f"box has dimension {box.dimension}, point has length {x.shape[0]}")
+        if ((box.lower <= x) & (x <= box.upper)).all():
+            return x
+        return np.minimum(np.maximum(x, box.lower), box.upper)
+
+    def _prox(self, mat, point, svals, cfg):
+        start = self._start(point)
+        if start is point:
+            return ProxOutcome(point=point, inner_iterations=0, converged=True, kkt_gap=0.0)
+        p, k, converged = _bvls(mat, point, start, self.box, cfg.max_iterations)
+        g = _cone_gap(mat.T @ (mat @ (point - p)), self.box, p, 0.0)
+        return ProxOutcome(point=p, inner_iterations=k, converged=converged,
+                           kkt_gap=math.sqrt(g @ g))
+
+    def _stationarity(self, x, j, gradient, gn_point):
+        return float(np.linalg.norm(normal_cone_gap(-gradient, self.box, x, 1e-14)))
+
+
+@dataclass(frozen=True)
+class CustomProx(Penalty):
+    """User-supplied identity-metric prox (must be firmly nonexpansive)."""
+
+    prox_identity: Callable[[np.ndarray], np.ndarray]
+
+    def _prox(self, mat, point, svals, cfg):
+        h = mat.T @ mat
+        sigma = 1.0 / float(svals[0]) ** 2
+        v = point.copy()
+        for k in range(1, cfg.max_iterations + 1):
+            v_next = as_vector(self.prox_identity(v - sigma * (h @ (v - point))), point.shape[0])
+            delta = float(np.linalg.norm(v_next - v))
+            v = v_next
+            if delta < cfg.tolerance:
+                return ProxOutcome(point=v, inner_iterations=k, converged=True)
+        return ProxOutcome(point=v, inner_iterations=cfg.max_iterations, converged=False)
+
+    def _stationarity(self, x, j, gradient, gn_point):
+        z, svals = gn_point()
+        return float(np.linalg.norm(x - self._prox(j, z, svals, InnerConfig()).point))
+
+
 def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig(), *,
                 _svals: np.ndarray | None = None) -> ProxOutcome:
     """prox_J^H(z) for H = A^T A, A with full column rank.
 
-    A box penalty returns a feasible z unchanged with zero inner iterations.
-    Otherwise BVLS solves the box prox exactly from the clamped point, and
-    the KKT gap is computed once, at the point it returns.  H itself is
-    formed only for custom penalties, whose loop steps by sigma = 1/||H||
-    = 1/sigma_max(A)^2.  Non-convergence within the iteration
-    budget is reported through ``converged``, never raised.  ``_svals``, the
-    singular values of ``a`` from a caller that has factorized ``a`` and so
-    checked it and ``z``, spares a second factorization and both checks: the
-    returned point may then be ``z`` itself.  Without it ``z`` is copied.
+    A singular A raises RankDeficientError for every penalty.  The penalty's
+    ``_prox`` hook does the rest; a box penalty returns a feasible z
+    unchanged with zero inner iterations, and a custom penalty's loop steps
+    by sigma = 1/||H|| = 1/sigma_max(A)^2.  Non-convergence within the
+    iteration budget is reported through ``converged``, never raised.
+    ``_svals``, the singular values of ``a`` from a caller that has
+    factorized ``a`` and so checked it and ``z``, spares a second
+    factorization and both checks: the returned point may then be ``z``
+    itself.  Without it ``z`` is copied.
     """
     mat, point = (a, z) if _svals is not None else (as_matrix(a), as_vector(z).copy())
     if point.shape[0] != mat.shape[1]:
-        raise DimensionMismatchError(
+        raise ShapeMismatchError(
             f"point has length {point.shape[0]}, metric expects {mat.shape[1]}"
         )
-    if isinstance(penalty, ZeroPenalty):
-        return ProxOutcome(point=point, inner_iterations=0, converged=True, kkt_gap=0.0)
-
     svals = np.linalg.svd(mat, compute_uv=False) if _svals is None else _svals
     if svals[-1] == 0.0:
         raise RankDeficientError("metric matrix A^T A is singular")
-
-    if isinstance(penalty, BoxIndicator):
-        box = penalty.box
-        if box.dimension != point.shape[0]:
-            raise DimensionMismatchError("box and point dimensions differ")
-        if ((box.lower <= point) & (point <= box.upper)).all():
-            return ProxOutcome(point=point, inner_iterations=0, converged=True, kkt_gap=0.0)
-        start = np.minimum(np.maximum(point, box.lower), box.upper)
-        p, k, converged = _bvls(mat, point, start, box, cfg.max_iterations)
-        g = _cone_gap(mat.T @ (mat @ (point - p)), box, p, 0.0)
-        return ProxOutcome(point=p, inner_iterations=k, converged=converged,
-                           kkt_gap=math.sqrt(g @ g))
-
-    h = mat.T @ mat
-    sigma = 1.0 / float(svals[0]) ** 2
-    v = point.copy()
-    apply_prox = penalty.prox_identity
-    for k in range(1, cfg.max_iterations + 1):
-        v_next = as_vector(apply_prox(v - sigma * (h @ (v - point))), point.shape[0])
-        delta = float(np.linalg.norm(v_next - v))
-        v = v_next
-        if delta < cfg.tolerance:
-            return ProxOutcome(point=v, inner_iterations=k, converged=True)
-    return ProxOutcome(point=v, inner_iterations=cfg.max_iterations, converged=False)
+    return penalty._prox(mat, point, svals, cfg)
 
 
 def _bvls(mat, z, start, box: Box, max_iterations: int):

@@ -25,16 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOLERANCE, ShapeMismatchError, as_vector
-from .prox import (
-    BoxIndicator,
-    InnerConfig,
-    Penalty,
-    ZeroPenalty,
-    _cone_gap,
-    normal_cone_gap,
-    prox_metric,
-)
+from .linalg import DEFAULT_RANK_TOLERANCE, as_vector
+from .prox import InnerConfig, Penalty, prox_metric
 
 
 class InvalidPointError(Exception):
@@ -90,8 +82,9 @@ class SolverConfig:
 class IterationRecord:
     """One outer step: the new iterate and the step's diagnostics.
 
-    ``prox_converged`` is False when the step's prox stopped at its inner
-    iteration cap, so the iterate is inexact.
+    ``gn_point_feasible``: the prox took no inner iteration, as the
+    Gauss-Newton point was its own prox.  ``prox_converged`` is False when
+    the prox stopped at its inner iteration cap, so the iterate is inexact.
     """
 
     index: int
@@ -181,8 +174,6 @@ def prox_gn_step(
     z, svals = _gn_core(xv, f, j, cfg.rank_tolerance)
     outcome = prox_metric(penalty, j, z, cfg.inner, _svals=svals)
     x_next = outcome.point
-    feasible_z = isinstance(penalty, ZeroPenalty) or (
-        isinstance(penalty, BoxIndicator) and outcome.inner_iterations == 0)
     try:
         carry["fj"] = _evaluate(problem, x_next)
         residual_norm = math.sqrt(carry["fj"][0] @ carry["fj"][0])
@@ -194,28 +185,23 @@ def prox_gn_step(
         index=index, x=x_next, residual_norm=residual_norm,
         step_norm=math.sqrt(step @ step),
         jacobian_condition=float(svals[0] / svals[-1]),
-        inner_iterations=outcome.inner_iterations, gn_point_feasible=feasible_z,
+        inner_iterations=outcome.inner_iterations, gn_point_feasible=outcome.inner_iterations == 0,
         prox_converged=outcome.converged)
 
 
 def solve(problem: Problem, penalty: Penalty, x0, cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Iterate prox-GN steps until the step norm drops below tolerance.
 
-    Terminal conditions are encoded in the report status: convergence,
-    iteration budget, numerical rank loss of the Jacobian, or an iterate
-    leaving the validity domain.  An infeasible start for a box penalty is
-    projected onto the box first and flagged; every later iterate is a box
-    prox output, so the final x lies in the box.
+    The bound is ``max(outer_tolerance, 2^-49 ||x||)``; the second term,
+    8 ulp(1) ||x||, is the rounding floor of a step at x.  The report status
+    says why the run ended: convergence, iteration budget, numerical rank
+    loss of the Jacobian, or an iterate leaving the validity domain.  A start
+    outside dom J is replaced by the penalty's start (a box clamps it) and
+    flagged; every later iterate is a prox output, in dom J.
     """
-    x = as_vector(x0, problem.n)
-    projected_start = False
-    if isinstance(penalty, BoxIndicator):
-        box = penalty.box
-        if box.dimension != problem.n:
-            raise ShapeMismatchError(f"box has dimension {box.dimension}, problem n={problem.n}")
-        projected_start = not ((box.lower <= x) & (x <= box.upper)).all()
-        if projected_start:
-            x = np.minimum(np.maximum(x, box.lower), box.upper)
+    x_checked = as_vector(x0, problem.n)
+    x = penalty._start(x_checked)
+    projected_start = x is not x_checked
 
     trace: list[IterationRecord] = []
     status = SolveStatus.MAX_ITERATIONS
@@ -231,7 +217,7 @@ def solve(problem: Problem, penalty: Penalty, x0, cfg: SolverConfig = SolverConf
             break
         trace.append(record)
         x = x_next
-        if record.step_norm < cfg.outer_tolerance:
+        if record.step_norm < max(cfg.outer_tolerance, 2.0 ** -49 * math.sqrt(x @ x)):
             status = SolveStatus.CONVERGED
             break
 
@@ -255,23 +241,16 @@ def stationarity_residual(
 ) -> float:
     """Violation of the first-order condition -F'(x)^T F(x) in dJ(x).
 
-    Zero penalty: the gradient norm ||F'(x)^T F(x)||.  Box indicator: the
-    norm of the componentwise distance of -F'(x)^T F(x) from the normal
-    cone of the box at x.  Custom prox: the fixed-point residual
-    ||x - prox_J^H(x - F'(x)^dag F(x))||.  ``_fj`` is (F, J) at x when the
-    caller already has it; x and the box are then trusted as already checked.
+    The penalty's ``_stationarity`` hook measures it.  Zero penalty: the
+    gradient norm ||F'(x)^T F(x)||.  Box indicator: the norm of the
+    componentwise distance of -F'(x)^T F(x) from the normal cone of the box
+    at x.  Custom prox: the fixed-point residual ||x - prox_J^H(x - F'(x)^dag
+    F(x))||.  ``_fj`` is (F, J) at x when the caller already has it; x is
+    then trusted as already checked.
     """
     xv = as_vector(x, problem.n) if _fj is None else x
     f, j = _evaluate(problem, xv) if _fj is None else _fj
-    gradient = j.T @ f
-    if isinstance(penalty, ZeroPenalty):
-        return float(np.linalg.norm(gradient))
-    if isinstance(penalty, BoxIndicator):
-        cone_gap = normal_cone_gap if _fj is None else _cone_gap
-        return float(np.linalg.norm(cone_gap(-gradient, penalty.box, xv, 1e-14)))
-    z, svals = _gn_core(xv, f, j, rank_tol)
-    outcome = prox_metric(penalty, j, z, _svals=svals)
-    return float(np.linalg.norm(xv - outcome.point))
+    return penalty._stationarity(xv, j, j.T @ f, lambda: _gn_core(xv, f, j, rank_tol))
 
 
 def estimate_rate(

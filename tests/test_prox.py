@@ -341,10 +341,39 @@ def test_public_prox_metric_returns_a_fresh_point(penalty):
 def test_prox_metric_rank_deficient_metric():
     from proxgn import RankDeficientError
 
+    # the full-rank contract holds for every penalty, the identity prox included
     singular = np.array([[1.0, 0.0], [1.0, 0.0]])
-    box = Box(np.zeros(2), np.ones(2))
-    with pytest.raises(RankDeficientError):
-        prox_metric(BoxIndicator(box), singular, [2.0, 2.0])
+    for penalty in PENALTIES:
+        for z in ([2.0, 2.0], [0.5, 0.5]):
+            with pytest.raises(RankDeficientError):
+                prox_metric(penalty, singular, z)
+
+
+def test_start_is_the_point_itself_in_the_domain_and_a_fresh_clamp_outside():
+    indicator = BoxIndicator(Box(np.zeros(2), np.ones(2)))
+    inside, outside = np.array([0.25, 1.0]), np.array([0.25, 1.5])
+    assert indicator._start(inside) is inside
+    clamped = indicator._start(outside)
+    assert clamped is not outside and np.array_equal(clamped, [0.25, 1.0])
+    assert np.array_equal(outside, [0.25, 1.5])
+    for penalty in (ZeroPenalty(), PENALTIES[2]):
+        assert penalty._start(outside) is outside
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_every_entry_point_raises_shape_mismatch_for_a_wrong_length_box(dim):
+    from proxgn import ShapeMismatchError, get_case, solve, stationarity_residual
+
+    assert DimensionMismatchError is ShapeMismatchError
+    box, x = Box(np.full(dim, -2.0), np.full(dim, 2.0)), np.zeros(2)
+    problem = get_case("rosenbrock").problem
+    for call in (lambda: solve(problem, BoxIndicator(box), x),
+                 lambda: stationarity_residual(problem, BoxIndicator(box), x),
+                 lambda: prox_metric(BoxIndicator(box), np.eye(2), x),
+                 lambda: project_box(x, box),
+                 lambda: normal_cone_gap(x, box, x)):
+        with pytest.raises(ShapeMismatchError):
+            call()
 
 
 def test_normal_cone_gap_one_sided_box():

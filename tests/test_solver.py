@@ -15,6 +15,7 @@ from proxgn import (
     JacobianRankDeficientError,
     LipschitzAverage,
     LipschitzMode,
+    Penalty,
     Problem,
     ProblemConstants,
     ShapeMismatchError,
@@ -472,3 +473,37 @@ def test_gn_point_feasible_flag_means_what_it_says(name):
             flags.add(want)
             x_prev = rec.x
     assert flags == {True, False}
+
+
+class Nonnegative(Penalty):
+    """x >= 0: a penalty the library does not define, built on the box hooks."""
+
+    def __init__(self, n):
+        self.box = BoxIndicator(Box(np.zeros(n), np.full(n, np.inf)))
+
+    def _start(self, x):
+        return self.box._start(x)
+
+    def _prox(self, mat, point, svals, cfg):
+        return self.box._prox(mat, point, svals, cfg)
+
+    def _stationarity(self, x, j, gradient, gn_point):
+        return self.box._stationarity(x, j, gradient, gn_point)
+
+
+def test_a_penalty_defined_outside_the_library_runs_through_solve():
+    # nonnegative linear least squares: from any start one step reaches the
+    # H-metric projection of the least-squares solution, which is the
+    # nonnegative least-squares solution
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        a, b, x0 = rng.standard_normal((6, 3)), rng.standard_normal(6), rng.standard_normal(3)
+        penalty = Nonnegative(3)
+        report = solve(linear_problem(a, b), penalty, x0)
+        want = exact_box_prox(a, np.linalg.lstsq(a, b, rcond=None)[0], penalty.box.box)
+        assert report.status == SolveStatus.CONVERGED
+        assert report.projected_start == bool((x0 < 0).any())
+        assert np.linalg.norm(report.final_x - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
+        assert report.stationarity_residual <= 1e-12
+        via_box = solve(linear_problem(a, b), penalty.box, x0)
+        assert report.final_x.tobytes() == via_box.final_x.tobytes()

@@ -169,10 +169,13 @@ class BoxIndicator(Penalty):
 
     box: Box
 
+    def _check_length(self, x):
+        if self.box.dimension != x.shape[0]:
+            raise ShapeMismatchError(f"box has dimension {self.box.dimension}, point has length {x.shape[0]}")
+
     def _start(self, x):
+        self._check_length(x)
         box = self.box
-        if box.dimension != x.shape[0]:
-            raise ShapeMismatchError(f"box has dimension {box.dimension}, point has length {x.shape[0]}")
         if ((box.lower <= x) & (x <= box.upper)).all():
             return x
         return np.minimum(np.maximum(x, box.lower), box.upper)
@@ -187,7 +190,9 @@ class BoxIndicator(Penalty):
                            kkt_gap=math.sqrt(g @ g))
 
     def _stationarity(self, x, j, gradient, gn_point):
-        return float(np.linalg.norm(normal_cone_gap(-gradient, self.box, x, 1e-14)))
+        self._check_length(x)
+        g = _cone_gap(-gradient, self.box, x, 1e-14)
+        return math.sqrt(g @ g)
 
 
 @dataclass(frozen=True)

@@ -229,36 +229,31 @@ def check_small_residual(constants: ProblemConstants, l_zero: float) -> tuple[fl
     return h, h < 1.0
 
 
-def _q_means(constants: ProblemConstants, average: LipschitzAverage,
-             mode: LipschitzMode, r: float) -> tuple[float, float, float]:
-    """(gamma_0, gamma_c or gamma_1 by mode, 1 - beta*gamma_0*r) at r, from one pass over L.
+def contraction_constants(constants: ProblemConstants, average: LipschitzAverage,
+                          mode: LipschitzMode, rho0: float) -> tuple[float, float]:
+    """Constants (C1, C2) of ||x_{n+1} - x*|| <= C2 e_n^2 + C1 e_n at e_0 = rho0.
 
-    Raises OutOfDomainError at or past the pole, where 1 - beta*gamma_0*r <= 0.
+    C1 carries the residual term and vanishes exactly when alpha = 0; C2
+    uses gamma_c in center mode and gamma_1 in radius mode.  Both share the
+    denominator (1 - beta*gamma_0*rho0)^2, and OutOfDomainError is raised
+    outside [0, R) and at or past the pole, where its base is <= 0.
     """
-    g0, g1 = _integral_means(average, 1.0, r)
+    a, b, k = constants.alpha, constants.beta, constants.kappa
+    g0, g1 = _integral_means(average, 1.0, rho0)
     gm = 2.0 * g0 - g1 if mode == LipschitzMode.CENTER else g1
-    den = 1.0 - constants.beta * g0 * r
+    den = 1.0 - b * g0 * rho0
     if den <= 0.0:
-        raise OutOfDomainError(f"r={r} at or past the pole of q (1 - beta*gamma_0*r <= 0)")
-    return g0, gm, den
+        raise OutOfDomainError(f"r={rho0} at or past the pole of q (1 - beta*gamma_0*r <= 0)")
+    c1 = (SQRT2_PLUS_1 * k + 1.0) * a * b * b * g0 / (den * den)
+    c2 = (k * b * gm + SQRT2_PLUS_1 * a * b ** 3 * g0 * g0 + b * b * g0 * gm * rho0) / (den * den)
+    return c1, c2
 
 
 def q_factor(constants: ProblemConstants, average: LipschitzAverage,
              mode: LipschitzMode, r: float) -> float:
-    """Contraction factor q(r) of the prox-GN map on the r-ball.
-
-    All four terms share the denominator (1 - beta*gamma_0(r)*r), hence
-    q(r) = beta * [beta*g0*gm*r^2 + kappa*gm*r + (1+sqrt2)*alpha*beta^2*g0^2*r
-                   + ((1+sqrt2)*kappa + 1)*alpha*beta*g0] / (1 - beta*g0*r)^2
-    with gm = gamma_c or gamma_1 depending on the mode.
-    """
-    a, b, k = constants.alpha, constants.beta, constants.kappa
-    g0, gm, den = _q_means(constants, average, mode, r)
-    numerator = (b * g0 * gm * r * r
-                 + k * gm * r
-                 + SQRT2_PLUS_1 * a * b * b * g0 * g0 * r
-                 + (SQRT2_PLUS_1 * k + 1.0) * a * b * g0)
-    return b * numerator / (den * den)
+    """Contraction factor q(r) = C1(r) + C2(r)*r of the prox-GN map on the r-ball."""
+    c1, c2 = contraction_constants(constants, average, mode, r)
+    return c1 + c2 * r
 
 
 def _brent_root(f: Callable[[float], float], a: float, b: float,
@@ -387,22 +382,6 @@ def r_bar_closed_form(constants: ProblemConstants, l_const: float,
         b = 2.0 + 0.5 * k + tail
         z = 2.0 * (1.0 - h) / (b + math.sqrt(b * b - 2.0 * (1.0 - h)))
     return z / (beta * l_const)
-
-
-def contraction_constants(constants: ProblemConstants, average: LipschitzAverage,
-                          mode: LipschitzMode, rho0: float) -> tuple[float, float]:
-    """Constants (C1, C2) of ||x_{n+1} - x*|| <= C2 e_n^2 + C1 e_n at e_0 = rho0.
-
-    C1 carries the residual term and vanishes exactly when alpha = 0; C2
-    uses gamma_c in center mode and gamma_1 in radius mode.
-    """
-    if not rho0 >= 0:
-        raise OutOfDomainError("rho0 must be nonnegative")
-    a, b, k = constants.alpha, constants.beta, constants.kappa
-    g0, gm, den = _q_means(constants, average, mode, rho0)
-    c1 = (SQRT2_PLUS_1 * k + 1.0) * a * b * b * g0 / (den * den)
-    c2 = (k * b * gm + SQRT2_PLUS_1 * a * b ** 3 * g0 * g0 + b * b * g0 * gm * rho0) / (den * den)
-    return c1, c2
 
 
 @dataclass(frozen=True)

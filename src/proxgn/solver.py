@@ -119,18 +119,20 @@ class SolveReport:
 
 
 def _evaluate(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and Jacobian at a valid point, with finiteness checks."""
+    """Residual and Jacobian at a valid point, with J and ||F||^2 checked finite."""
     if not problem.validity(x):
         raise InvalidPointError(f"point {x} is outside the validity domain")
-    f = np.asarray(problem.residual(x), dtype=float)
-    j = np.asarray(problem.jacobian(x), dtype=float)
-    if f.shape != (problem.m,) or j.shape != (problem.m, problem.n):
-        raise InvalidPointError(
-            f"residual/jacobian shapes {f.shape}/{j.shape} do not match "
-            f"({problem.m},)/({problem.m},{problem.n})"
-        )
-    if not (np.isfinite(f).all() and np.isfinite(j).all()):
-        raise InvalidPointError("residual or jacobian produced non-finite values")
+    # an overflow in F, J or ||F||^2 ends the run as left_domain, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.asarray(problem.residual(x), dtype=float)
+        j = np.asarray(problem.jacobian(x), dtype=float)
+        if f.shape != (problem.m,) or j.shape != (problem.m, problem.n):
+            raise InvalidPointError(
+                f"residual/jacobian shapes {f.shape}/{j.shape} do not match "
+                f"({problem.m},)/({problem.m},{problem.n})"
+            )
+        if not (math.isfinite(f @ f) and np.isfinite(j).all()):
+            raise InvalidPointError("residual norm or jacobian is not finite")
     return f, j
 
 
@@ -225,7 +227,8 @@ def solve(problem: Problem, penalty: Penalty, x0, cfg: SolverConfig = SolverConf
     objective = stationarity = float("nan")
     if fj is not None:
         objective = 0.5 * float(fj[0] @ fj[0])
-        with suppress(JacobianRankDeficientError):
+        # J^T F can overflow at a rank-loss exit; the stationarity is then inf
+        with suppress(JacobianRankDeficientError), np.errstate(over="ignore", invalid="ignore"):
             stationarity = stationarity_residual(problem, penalty, x, cfg.rank_tolerance, _fj=fj)
     return SolveReport(status=status, final_x=x, trace=trace, objective=objective,
                        projected_start=projected_start, stationarity_residual=stationarity)
@@ -263,16 +266,19 @@ def estimate_rate(
     With e_n = ||x_n - x*||, returns (q_linear, order) where q_linear is the
     worst tail ratio e_{n+1}/e_n and order is the least-squares slope of
     log e_{n+1} against log e_n over the tail (last four usable pairs).
-    Distances at or below ``floor`` (default 100x the standard outer
-    tolerance) are discarded; the usable distances must number at least four,
-    be distinct and decrease, otherwise InsufficientDataError is raised.
+    Distances at or below ``max(floor, 2^-49 ||x*||)`` are discarded: ``floor``
+    defaults to 100x the standard outer tolerance, and the second term is the
+    rounding floor of ``solve``'s stop rule at x*.  The usable distances must
+    number at least four, be distinct and decrease, otherwise
+    InsufficientDataError is raised.
     """
     target = as_vector(x_star)
+    cut = max(floor, 2.0 ** -49 * math.sqrt(target @ target))
     distances = [float(np.linalg.norm(rec.x - target)) for rec in trace]
-    usable = [e for e in distances if e > floor]
+    usable = [e for e in distances if e > cut]
     if len(usable) < 4:
         raise InsufficientDataError(
-            f"need at least 4 usable distances above {floor:.1e}, got {len(usable)}"
+            f"need at least 4 usable distances above {cut:.1e}, got {len(usable)}"
         )
     if any(b >= a for a, b in zip(usable, usable[1:])):
         raise InsufficientDataError("usable distances must be strictly decreasing")

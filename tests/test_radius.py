@@ -628,3 +628,69 @@ def test_quadrature_raises_on_non_finite_values_between_samples(bounded_evaluati
         bounded_evaluations[0] = 0
         with pytest.raises(ValueError, match="not finite"):
             evaluate()
+
+
+# Two changes of units with a known effect on every radius output, so no
+# reference value is needed.  Rescaling F by c maps (alpha, beta, L) to
+# (c alpha, beta / c, c L) and leaves h, the radii and (C1, C2) unchanged.
+# The change of variables x = d y maps beta to beta / d and L(u) to
+# d^2 L(d u): h and C1 stay, the radii divide by d and C2 multiplies by d.
+INVARIANCE_TOL = 1e-12
+INVARIANCE_DRAWS = 12
+
+
+def _unit_average(kind, l0, knots, c=1.0, d=1.0):
+    """c d^2 L(d u) for L(u) = l0 (1 + u)^2.5, a non-polynomial L so that
+    the quadrature is inexact; the tabulated L samples it at ``knots``."""
+    scale = c * d * d * l0
+    if kind == "constant":
+        return LipschitzAverage.constant(scale)
+    if kind == "callable":
+        return LipschitzAverage.from_callable(lambda u: scale * (1.0 + d * u) ** 2.5)
+    return LipschitzAverage.tabulated(knots / d, scale * (1.0 + knots) ** 2.5)
+
+
+def _unit_draws(seed):
+    """Admissible (constants, l0, knots, factor), the factor in 10^U(-3, 3);
+    every other draw has alpha = 0."""
+    rng = np.random.default_rng(seed)
+    for i in range(INVARIANCE_DRAWS):
+        kappa = 10.0 ** rng.uniform(0.0, 2.0)
+        beta, l0 = 10.0 ** rng.uniform(-0.5, 0.5, 2)
+        h = rng.uniform(0.0, 0.9) if i % 2 else 0.0
+        alpha = h / ((SQRT2P1 * kappa + 1.0) * beta ** 2 * l0)
+        knots = np.linspace(0.0, 1.0 / (beta * l0), 9)
+        yield ProblemConstants(alpha, beta, kappa), l0, knots, 10.0 ** rng.uniform(-3.0, 3.0)
+
+
+def _radius_outputs(constants, average, mode, rho0=None):
+    """(h, sup_radius, r_bar, C1, C2), the constants at rho0 (default r_bar / 2)."""
+    summary = convergence_radius(constants, average, mode)
+    rho0 = 0.5 * summary.r_bar if rho0 is None else rho0
+    return (summary.h, summary.sup_radius, summary.r_bar,
+            *contraction_constants(constants, average, mode, rho0))
+
+
+def _assert_close(got, want):
+    for name, g, w in zip(("h", "sup_radius", "r_bar", "C1", "C2"), got, want):
+        assert abs(g - w) <= INVARIANCE_TOL * max(abs(g), abs(w)), (name, g, w)
+
+
+@pytest.mark.parametrize("mode", [CENTER, RADIUS])
+@pytest.mark.parametrize("kind", ["constant", "callable", "tabulated"])
+def test_radius_is_invariant_under_residual_scaling(kind, mode):
+    for constants, l0, knots, c in _unit_draws(21):
+        want = _radius_outputs(constants, _unit_average(kind, l0, knots), mode)
+        scaled = ProblemConstants(c * constants.alpha, constants.beta / c, constants.kappa)
+        _assert_close(_radius_outputs(scaled, _unit_average(kind, l0, knots, c=c), mode, 0.5 * want[2]),
+                      want)
+
+
+@pytest.mark.parametrize("mode", [CENTER, RADIUS])
+@pytest.mark.parametrize("kind", ["constant", "callable", "tabulated"])
+def test_radius_scales_with_a_change_of_variables(kind, mode):
+    for constants, l0, knots, d in _unit_draws(22):
+        h, r_sup, r_bar, c1, c2 = _radius_outputs(constants, _unit_average(kind, l0, knots), mode)
+        scaled = ProblemConstants(constants.alpha, constants.beta / d, constants.kappa)
+        _assert_close(_radius_outputs(scaled, _unit_average(kind, l0, knots, d=d), mode, 0.5 * r_bar / d),
+                      (h, r_sup / d, r_bar / d, c1, c2 * d))

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -264,6 +265,16 @@ class TestEstimateRate:
         _, order = estimate_rate(report.trace, np.zeros(2))
         assert order >= 1.7
 
+    def test_rounding_floor_scales_with_the_solution(self):
+        # one ulp at x* = 2^30 is 2^-22: iterates that stall there sit at
+        # rounding-level distances far above the absolute floor 1e-10
+        x_star = np.array([2.0 ** 30, -(2.0 ** 30)])
+        tail = [2.0 ** -k for k in (1, 2, 4, 8, 16)] + [2.0 ** -22, 2.0 ** -21, 2.0 ** -22]
+        trace = [synthetic_record(n, x_star + [e, 0.0]) for n, e in enumerate(tail, 1)]
+        q, order = estimate_rate(trace, x_star)
+        assert q == 0.5
+        assert order == pytest.approx(2.0, abs=1e-12)
+
     def test_insufficient_data(self):
         x_star = np.zeros(1)
         with pytest.raises(InsufficientDataError):
@@ -416,10 +427,12 @@ def _poisoned_after_start(fn, value):
 
 @pytest.mark.parametrize("penalty", [ZeroPenalty(),
                                      BoxIndicator(Box(-10.0 * np.ones(2), 10.0 * np.ones(2)))])
-@pytest.mark.parametrize("broken, value", [("residual", np.nan), ("jacobian", np.inf)])
+@pytest.mark.parametrize("broken, value", [("residual", np.nan), ("jacobian", np.inf),
+                                           ("residual", 1e300)])
 def test_non_finite_values_at_second_iterate_end_left_domain(penalty, broken, value):
     # solve trusts each iterate it hands to the next step, so F and J must
-    # still be checked where they enter
+    # still be checked where they enter; a finite F whose ||F||^2 overflows
+    # is no better than a non-finite one
     a, b = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0, 3.0])
     problem = linear_problem(a, b)
     problem = dataclasses.replace(
@@ -440,6 +453,21 @@ def test_non_finite_gauss_newton_point_ends_left_domain(penalty):
     assert report.status == SolveStatus.LEFT_DOMAIN and report.trace == []
     with pytest.raises(InvalidPointError):
         gauss_newton_point(problem, np.zeros(1))
+
+
+@pytest.mark.parametrize("name", ["osborne1", "osborne2"])
+def test_zero_penalty_sweep_reports_finite_numbers_without_warnings(name):
+    # classical Gauss-Newton from the seed-7 starts overflows in the model's
+    # exp and in ||F||^2; such a run must end with a status that says so,
+    # without a numpy warning, and report no infinite number as converged
+    case = get_case(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [solve(case.problem, ZeroPenalty(), x0) for x0 in sample_starts(case, 20, 7)]
+    for report in reports:
+        finite = np.isfinite(report.objective) and np.isfinite(report.stationarity_residual)
+        assert finite or report.status != SolveStatus.CONVERGED
+        assert all(np.isfinite(rec.residual_norm) for rec in report.trace[:-1])
 
 
 @pytest.mark.parametrize("dim", [1, 3])

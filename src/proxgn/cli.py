@@ -6,7 +6,8 @@ constants), ``validate`` (self-check suite).  A ``--config`` file with
 ``key = value`` lines mirrors the flags; explicit flags win.
 
 Exit codes: 0 success, 1 failed runs or failed checks, 2 argument/config
-errors, 3 unknown problem, 4 inadmissible radius constants.
+errors and radius computations that leave the float range, 3 unknown
+problem or a problem file that fails to load, 4 inadmissible radius constants.
 """
 from __future__ import annotations
 
@@ -107,12 +108,11 @@ def _load_case(args) -> problems.BenchmarkCase:
         module = importlib.util.module_from_spec(spec)
         try:
             spec.loader.exec_module(module)
+            if not callable(getattr(module, "make_case", None)):
+                raise problems.UnknownProblemError(f"{args.problem_file} defines no make_case()")
             case = module.make_case()
         except problems.UnknownProblemError:
             raise
-        except AttributeError:
-            raise problems.UnknownProblemError(
-                f"{args.problem_file} defines no make_case()") from None
         except Exception as exc:
             raise problems.UnknownProblemError(
                 f"loading {args.problem_file} failed: {exc}") from exc
@@ -222,17 +222,23 @@ def _human_report(case, case_name, results) -> str:
 
 def cmd_solve(args) -> int:
     try:
+        cfg = SolverConfig(
+            outer_tolerance=args.epsilon,
+            max_outer=args.max_outer,
+            inner=InnerConfig(tolerance=args.epsilon, max_iterations=args.max_inner),
+        )
+        if args.starts < 1:
+            raise ValueError("--starts must be >= 1")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         case = _load_case(args)
     except (problems.UnknownProblemError, problems.ExternalDefinitionUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
     penalty = BoxIndicator(case.box) if args.penalty == "box" else ZeroPenalty()
-    cfg = SolverConfig(
-        outer_tolerance=args.epsilon,
-        max_outer=args.max_outer,
-        inner=InnerConfig(tolerance=args.epsilon, max_iterations=args.max_inner),
-    )
     seed = None
     if args.x0:
         try:
@@ -281,6 +287,9 @@ def cmd_radius(args) -> int:
         average = _parse_average(args)
         mode = radius.LipschitzMode(args.mode)
         h, admissible = radius.check_small_residual(constants, average(0.0))
+        if admissible:
+            summary = radius.convergence_radius(constants, average, mode)
+            c1, c2 = radius.contraction_constants(constants, average, mode, summary.r_bar / 2.0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -289,8 +298,6 @@ def cmd_radius(args) -> int:
         lines.append("small-residual condition violated: h >= 1, no radius exists")
         _emit("\n".join(lines) + "\n", args.output)
         return 4
-    summary = radius.convergence_radius(constants, average, mode)
-    c1, c2 = radius.contraction_constants(constants, average, mode, summary.r_bar / 2.0)
     lines.append(f"mode = {mode.value}")
     lines.append(f"sup_radius = {summary.sup_radius!r}")
     lines.append(f"r_bar = {summary.r_bar!r}")

@@ -68,8 +68,8 @@ def pseudoinverse(a, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> PinvResu
     rows, cols = m.shape
     if rows < cols:
         raise ShapeMismatchError(f"need rows >= cols, got {rows}x{cols}")
-    if rank_tolerance <= 0:
-        raise ValueError("rank_tolerance must be positive")
+    if not 0 < rank_tolerance < np.inf:
+        raise ValueError("rank_tolerance must be positive and finite")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     if s[0] == 0.0 or s[-1] <= rank_tolerance * s[0]:
         raise RankDeficientError(

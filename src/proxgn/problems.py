@@ -228,8 +228,8 @@ def shrink_box(box: Box, delta: float, which) -> Box:
     Pulls an open feasible region away from boundary faces where the
     derivative degenerates.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
     lower = box.lower.copy()
     idx = sorted(set(int(i) for i in which))
     for i in idx:

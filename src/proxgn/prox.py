@@ -72,9 +72,9 @@ class InnerConfig:
     max_iterations: int = 10_000
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
+        if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be >= 1")
 
 

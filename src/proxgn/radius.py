@@ -27,6 +27,8 @@ import numpy as np
 SQRT2_PLUS_1 = 1.0 + math.sqrt(2.0)
 QUADRATURE_REL_TOL = 1e-10
 _ROOT_REL_TOL = 1e-14
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+_HALF_LARGEST = 0.5 * float(np.finfo(float).max)
 
 
 class OutOfDomainError(Exception):
@@ -143,6 +145,8 @@ def _integral_means(average: LipschitzAverage, lam: float, r: float) -> tuple[fl
     if average.is_constant or r == 0.0:
         l_zero = average.constant_value if average.is_constant else average(0.0)
         return l_zero, l_zero / (1.0 + lam)
+    if r > _HALF_LARGEST:  # the Simpson midpoints add two abscissae
+        raise ValueError(f"r={r!r} leaves the float range of the quadrature")
 
     def pair(u):
         v = average(u)
@@ -181,13 +185,16 @@ def _integral_means(average: LipschitzAverage, lam: float, r: float) -> tuple[fl
         part0, part_lam = recurse(lo, hi, a0, a1, m0, m1, b0, b1, w0, w1, t0, t1, 48)
         int0 += part0
         int_lam += part_lam
-    return int0 / r, int_lam / (r ** (1.0 + lam))
+    try:
+        return int0 / r, int_lam / (r ** (1.0 + lam))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"r={r!r} to the power {1.0 + lam!r} leaves the float range") from None
 
 
 def gamma_lambda(average: LipschitzAverage, lam: float, r: float) -> float:
     """Integral mean r^{-(1+lam)} * integral_0^r u^lam L(u) du; L(0)/(1+lam) at r=0."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError("lambda must be finite and nonnegative")
     return _integral_means(average, lam, r)[1]
 
 
@@ -256,22 +263,38 @@ def q_factor(constants: ProblemConstants, average: LipschitzAverage,
     return c1 + c2 * r
 
 
-def _brent_root(f: Callable[[float], float], a: float, b: float,
-                fa: float, fb: float) -> float:
-    """Root of f in [a, b] from fa = f(a) < 0 <= fb = f(b), fb possibly inf.
+def _first_root(f: Callable[[float], float], f0: float, start: float, cap: float) -> float:
+    """First root of f on (0, cap) from f0 = f(0) < 0; cap when f < 0 up to it.
 
-    Brent's method (1973) as in scipy's brentq: secant or inverse quadratic
-    steps, or bisection whenever a step would not halve the one before last.
-    Stops once the bracket is narrower than _ROOT_REL_TOL of the root.
+    The bracket's upper end doubles from ``start`` until f >= 0 there, held
+    at cap*(1 - 1e-12) once it reaches cap.  Brent's method (1973) as in
+    scipy's brentq then starts from the last two values: secant or inverse
+    quadratic steps, or bisection whenever a step would not halve the one
+    before last, until the bracket is narrower than _ROOT_REL_TOL of the
+    root.  A bracket with no finite upper end, or one below the smallest
+    normal number, where no relative tolerance holds, raises ValueError.
     """
-    pre, fpre, cur, fcur = a, fa, b, fb
-    blk, fblk, spre, scur = a, fa, 0.0, 0.0
+    pre, fpre, cur = 0.0, f0, start
+    while True:
+        capped = cur >= cap
+        cur = cap * (1.0 - 1e-12) if capped else cur
+        if not _SMALLEST_NORMAL <= cur < math.inf:
+            raise ValueError(f"the root bracket [0, {cur!r}] leaves the normal float range")
+        fcur = f(cur)
+        if fcur >= 0.0:
+            break
+        if capped:
+            return cap
+        pre, fpre, cur = cur, fcur, 2.0 * cur
+    blk, fblk, spre, scur = pre, fpre, 0.0, 0.0
     while True:
         if (fpre < 0.0) != (fcur < 0.0):
             blk, fblk = pre, fpre
             spre = scur = cur - pre
         if abs(fblk) < abs(fcur):
             pre, cur, blk, fpre, fcur, fblk = cur, blk, cur, fcur, fblk, fcur
+        if max(abs(cur), abs(blk)) < _SMALLEST_NORMAL:
+            raise ValueError(f"the root bracket closed onto 0 below {_SMALLEST_NORMAL!r}")
         delta = 0.5 * _ROOT_REL_TOL * max(abs(cur), abs(blk))
         sbis = 0.5 * (blk - cur)
         if fcur == 0.0 or abs(sbis) < delta:
@@ -283,8 +306,9 @@ def _brent_root(f: Callable[[float], float], a: float, b: float,
             else:
                 dpre = (fpre - fcur) / (pre - cur)
                 dblk = (fblk - fcur) / (blk - cur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        # a NaN step (no interpolation, or one through an infinite value) bisects
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.nan
+        # a NaN step (no interpolation, a zero denominator, an infinite value) bisects
         if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
             spre, scur = scur, stry
         else:
@@ -298,37 +322,17 @@ def sup_radius(constants: ProblemConstants, average: LipschitzAverage) -> float:
     """R_bar = sup { r in (0, R) : gamma_0(r) * r < 1/beta }.
 
     The map r -> beta*gamma_0(r)*r is strictly increasing, so the sup is a
-    single root.  The bracket grows geometrically until it holds the root,
-    as it must by 1/(beta*L(0)) since gamma_0 >= L(0); Brent's method then
-    starts from the two values the growth computed last.
+    single root, found by ``_first_root`` from a seed below 1/(beta*L(0)),
+    which bounds it since gamma_0 >= L(0).
     """
     beta = constants.beta
     if average.is_constant:
         return min(1.0 / (beta * average.constant_value), average.upper_limit)
-
-    def phi_minus_one(r: float) -> float:
-        return beta * gamma_lambda(average, 0.0, r) * r - 1.0
-
-    domain_cap = average.upper_limit
-    l_zero = average(0.0)
-    # with L(0) = 0 there is no analytic cap; any positive seed grows fine
-    hi = 1.0 / (beta * l_zero) / 1024.0 if l_zero > 0 else 1.0 / beta
-    if math.isfinite(domain_cap):
-        hi = min(hi, 0.5 * domain_cap)
-    lo, f_lo = 0.0, -1.0
-    while True:
-        if hi >= domain_cap:
-            hi = domain_cap * (1.0 - 1e-12)
-            f_hi = phi_minus_one(hi)
-            if f_hi < 0.0:
-                return domain_cap
-            break
-        f_hi = phi_minus_one(hi)
-        if f_hi >= 0.0:
-            break
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-    return _brent_root(phi_minus_one, lo, hi, f_lo, f_hi)
+    bl0 = beta * average(0.0)
+    # with beta*L(0) = 0 there is no analytic cap; any positive seed grows fine
+    start = 1.0 / bl0 / 1024.0 if bl0 > 0 else 1.0 / beta
+    return _first_root(lambda r: beta * gamma_lambda(average, 0.0, r) * r - 1.0, -1.0,
+                       min(start, 0.5 * average.upper_limit), average.upper_limit)
 
 
 def r_bar_numeric(constants: ProblemConstants, average: LipschitzAverage,
@@ -346,17 +350,13 @@ def r_bar_numeric(constants: ProblemConstants, average: LipschitzAverage,
         raise ConditionViolatedError(f"h={h:.6g} >= 1")
     r_sup = sup_radius(constants, average) if _sup is None else _sup
 
-    def q_safe(r: float) -> float:
+    def q_minus_one(r: float) -> float:
         try:
-            return q_factor(constants, average, mode, r)
+            return q_factor(constants, average, mode, r) - 1.0
         except OutOfDomainError:
             return math.inf
 
-    hi = r_sup * (1.0 - 1e-12)
-    f_hi = q_safe(hi) - 1.0
-    if f_hi < 0.0:
-        return r_sup
-    return _brent_root(lambda r: q_safe(r) - 1.0, 0.0, hi, h - 1.0, f_hi)
+    return _first_root(q_minus_one, h - 1.0, r_sup, r_sup)
 
 
 def r_bar_closed_form(constants: ProblemConstants, l_const: float,

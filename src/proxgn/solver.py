@@ -74,8 +74,9 @@ class SolverConfig:
     rank_tolerance: float = DEFAULT_RANK_TOLERANCE
 
     def __post_init__(self):
-        if self.outer_tolerance <= 0 or self.max_outer < 1 or self.rank_tolerance <= 0:
-            raise ValueError("solver configuration values must be positive")
+        if not (0 < self.outer_tolerance < math.inf and self.max_outer >= 1
+                and 0 < self.rank_tolerance < math.inf):
+            raise ValueError("solver configuration values must be positive and finite")
 
 
 @dataclass(frozen=True)

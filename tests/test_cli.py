@@ -300,6 +300,15 @@ class TestRounding:
         assert cli.round_half_up(Fraction(0)) == 0
 
 
+def run_module(args, timeout=60):
+    """Run ``python -m proxgn`` on ``args`` in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "proxgn", *args],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 class TestRobustness:
     def test_broken_problem_file_exit_3(self, tmp_path):
         bad = tmp_path / "broken.py"
@@ -326,14 +335,50 @@ class TestRobustness:
         assert captured.err.startswith("error: ")
 
     def test_python_dash_m_runs_the_cli(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-m", "proxgn", "radius", "--alpha", "0",
-                               "--beta", "1", "--kappa", "1", "--L", "1"],
-                              capture_output=True, text=True, env=env, timeout=60)
+        done = run_module(["radius", "--alpha", "0", "--beta", "1", "--kappa", "1", "--L", "1"])
         assert done.returncode == 0, done.stderr
         assert "r_bar = " in done.stdout
+
+    # averages where beta*L(0) lies near the ends of the float range: each
+    # radius computation must end, with a result or an error line, in a
+    # subprocess so that a search that never returns fails by its timeout
+    @pytest.mark.parametrize("flags", [
+        ["--L", "1e300"], ["--L", "1e-320"], ["--L", "1e-300"], ["--L", "1e150"],
+        ["--L-table", "0:1e300,1:1e300"], ["--L-table", "0:1e150,1:1e150"],
+        ["--L-table", "0:1e-320,1:1e-320"],
+    ], ids=" ".join)
+    def test_radius_at_extreme_scales_ends_without_a_traceback(self, flags):
+        done = run_module(["radius", "--alpha", "0", "--beta", "1", "--kappa", "1", *flags],
+                          timeout=30)
+        assert done.returncode in (0, 2), done.stderr
+        assert "Traceback" not in done.stderr
+        if done.returncode == 2:
+            assert done.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-outer", "0"], ["--max-inner", "0"], ["--epsilon", "0"], ["--epsilon", "-1"],
+        ["--epsilon", "nan"], ["--starts", "0"], ["--starts", "-3"],
+    ], ids=" ".join)
+    def test_bad_solve_setting_exit_2(self, flags, capsys):
+        assert cli.main(["solve", "--case", "rosenbrock", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_missing_make_case_is_named(self, tmp_path, capsys):
+        path = tmp_path / "no_case.py"
+        path.write_text("make_case = None\n")
+        assert cli.main(["solve", "--problem-file", str(path)]) == 3
+        assert "defines no make_case()" in capsys.readouterr().err
+
+    def test_error_inside_make_case_is_reported_as_such(self, tmp_path, capsys):
+        path = tmp_path / "raising_case.py"
+        path.write_text("import numpy as np\n\n\ndef make_case():\n"
+                        "    return np.nonexistent_function()\n")
+        assert cli.main(["solve", "--problem-file", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "nonexistent_function" in err
+        assert "defines no make_case" not in err
 
 
 class TestTraceSchema:

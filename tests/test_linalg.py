@@ -46,6 +46,15 @@ def test_pseudoinverse_rejects_wide_and_bad_tolerance():
         pseudoinverse(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_pseudoinverse_rejects_non_finite_tolerance(tol):
+    # with a NaN tolerance no singular value fails the test, and the
+    # "pseudoinverse" of this singular matrix has entries of order 1e16
+    singular = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="rank_tolerance"):
+        pseudoinverse(singular, rank_tolerance=tol)
+
+
 def test_verify_penrose_cases():
     assert verify_penrose(np.eye(3), np.eye(3), 1e-12)
     a = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])

@@ -205,6 +205,12 @@ class TestShrinkBox:
         assert np.array_equal(shrunk.lower, info["box"].lower)
         assert np.array_equal(shrunk.upper, info["box"].upper)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_non_finite_delta_is_rejected(self, delta):
+        box = Box(np.array([0.0, 0.0]), np.array([np.inf, np.inf]))
+        with pytest.raises(ValueError, match="delta"):
+            shrink_box(box, delta, which=[0])
+
     def test_small_delta_is_noop(self):
         box = Box(np.array([0.5, 0.5]), np.array([2.0, 2.0]))
         out = shrink_box(box, 1e-3, which=[0, 1])

@@ -385,3 +385,9 @@ def test_normal_cone_gap_one_sided_box():
     for atol in (0.0, 1e-14, 1e-3):
         assert np.array_equal(normal_cone_gap(v, box, x, atol=atol), [1.0, -1.0])
     assert np.array_equal(normal_cone_gap(-v, box, x, atol=1e-14), [-1.0, 0.0])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_inner_config_rejects_non_finite_tolerance(value):
+    with pytest.raises(ValueError, match="finite"):
+        InnerConfig(tolerance=value)

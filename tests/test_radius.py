@@ -630,6 +630,39 @@ def test_quadrature_raises_on_non_finite_values_between_samples(bounded_evaluati
             evaluate()
 
 
+@pytest.mark.parametrize("lam", [NAN, INF])
+def test_gamma_lambda_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="lambda"):
+        gamma_lambda(LipschitzAverage.from_callable(lambda u: 1.0 + u), lam, 0.5)
+
+
+@pytest.mark.parametrize("l0, r", [(1.0, 1e-200), (1e-200, 1e200)])
+def test_quadrature_past_the_float_range_raises_value_error(l0, r):
+    # r^2 underflows to 0 or overflows while the integrals stay finite;
+    # OutOfDomainError would instead tell r_bar_numeric that r lies past the pole
+    avg = LipschitzAverage.tabulated([0.0, 1.0], [l0, 2.0 * l0])
+    with pytest.raises(ValueError, match="float range"):
+        gamma_c(avg, r)
+
+
+def test_sup_radius_past_the_float_range_raises_value_error():
+    # beta*L(0) underflows to 0, so the bracket grows until the quadrature's
+    # abscissae would overflow
+    avg = LipschitzAverage.tabulated([0.0, 1.0], [1e-200, 1e-200])
+    with pytest.raises(ValueError, match="float range"):
+        sup_radius(ProblemConstants(0.0, 1e-200, 1.0), avg)
+
+
+def test_average_jumping_at_zero_raises_a_library_error():
+    # q(0) = h = 0.17 but q(0+) > 1, so the first root of q = 1 closes onto 0
+    avg = LipschitzAverage.from_callable(lambda u: 1.0 if u == 0 else 100.0)
+    constants = ProblemConstants(0.05, 1.0, 1.0)
+    assert check_small_residual(constants, avg(0.0))[1]
+    for mode in (CENTER, RADIUS):
+        with pytest.raises(ValueError):
+            r_bar_numeric(constants, avg, mode)
+
+
 # Two changes of units with a known effect on every radius output, so no
 # reference value is needed.  Rescaling F by c maps (alpha, beta, L) to
 # (c alpha, beta / c, c L) and leaves h, the radii and (C1, C2) unchanged.

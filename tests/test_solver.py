@@ -317,6 +317,14 @@ def test_problem_validation():
         SolverConfig(outer_tolerance=-1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["outer_tolerance", "rank_tolerance"])
+def test_solver_config_rejects_non_finite_settings(field, value):
+    # a NaN rank tolerance would switch off the injectivity test of F'(x)
+    with pytest.raises(ValueError, match="finite"):
+        SolverConfig(**{field: value})
+
+
 def test_prox_gn_step_minimizes_linearized_model():
     # the step equals the box-constrained minimizer of the linearized
     # least-squares model at the current point; enumeration is the oracle

@@ -11,6 +11,8 @@ fixed-point map around a minimizer with constants (alpha, beta, kappa).
 Since gamma_c = 2*gamma_0 - gamma_1, q(r) and the constants C1, C2 need only
 integral_0^r L and integral_0^r u L: one adaptive Simpson pass yields both
 from the same evaluations of L, so each radius point r costs one pass.
+The pass checks once that [0, r] lies in L's domain, then evaluates L's own
+function unchecked: every abscissa it forms lies in [0, r].
 The convergence radius r_bar is where q crosses 1, a root found by Brent's
 method; for constant L it has a closed form via a quadratic in z = beta*L*r.
 """
@@ -148,16 +150,17 @@ def _integral_means(average: LipschitzAverage, lam: float, r: float) -> tuple[fl
     if r > _HALF_LARGEST:  # the Simpson midpoints add two abscissae
         raise ValueError(f"r={r!r} leaves the float range of the quadrature")
 
-    def pair(u):
-        v = average(u)
-        return v, (u ** lam) * v
+    # every abscissa below lies in [0, r], checked above, so L is evaluated
+    # through its own function rather than the domain-checking __call__
+    fn = average._fn
 
     # a suffix 0 marks the L component, 1 the u^lam L component; (a, m, b)
     # are the values at lo, mid and hi, w the Simpson estimate, t the tolerance
     def recurse(lo, hi, a0, a1, m0, m1, b0, b1, w0, w1, t0, t1, depth):
         mid = 0.5 * (lo + hi)
-        l0, l1 = pair(0.5 * (lo + mid))
-        r0, r1 = pair(0.5 * (mid + hi))
+        ul, ur = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        l0, r0 = float(fn(ul)), float(fn(ur))
+        l1, r1 = (ul ** lam) * l0, (ur ** lam) * r0
         wl, wr = (mid - lo) / 6.0, (hi - mid) / 6.0
         left0, left1 = wl * (a0 + 4.0 * l0 + m0), wl * (a1 + 4.0 * l1 + m1)
         right0, right1 = wr * (m0 + 4.0 * r0 + b0), wr * (m1 + 4.0 * r1 + b1)
@@ -177,7 +180,9 @@ def _integral_means(average: LipschitzAverage, lam: float, r: float) -> tuple[fl
     cuts = [0.0] + [float(u) for u in knots if 0.0 < u < r] + [r]
     int0 = int_lam = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
-        (a0, a1), (m0, m1), (b0, b1) = pair(lo), pair(0.5 * (lo + hi)), pair(hi)
+        mid = 0.5 * (lo + hi)
+        a0, m0, b0 = float(fn(lo)), float(fn(mid)), float(fn(hi))
+        a1, m1, b1 = (lo ** lam) * a0, (mid ** lam) * m0, (hi ** lam) * b0
         w = (hi - lo) / 6.0
         w0, w1 = w * (a0 + 4.0 * m0 + b0), w * (a1 + 4.0 * m1 + b1)
         t0 = QUADRATURE_REL_TOL * max(abs(w0), (hi - lo) * max(abs(a0), abs(m0), abs(b0)), 1e-300)
@@ -252,7 +257,9 @@ def contraction_constants(constants: ProblemConstants, average: LipschitzAverage
     if den <= 0.0:
         raise OutOfDomainError(f"r={rho0} at or past the pole of q (1 - beta*gamma_0*r <= 0)")
     c1 = (SQRT2_PLUS_1 * k + 1.0) * a * b * b * g0 / (den * den)
-    c2 = (k * b * gm + SQRT2_PLUS_1 * a * b ** 3 * g0 * g0 + b * b * g0 * gm * rho0) / (den * den)
+    # (b gm) (b g0 rho0) pairs the dimensionless beta*gamma*r with one factor of
+    # beta*gamma, so the product stays in range at any scale of beta*L
+    c2 = (k * b * gm + SQRT2_PLUS_1 * a * b ** 3 * g0 * g0 + (b * gm) * (b * g0 * rho0)) / (den * den)
     return c1, c2
 
 

@@ -201,6 +201,17 @@ class TestRadiusCommand:
         assert 0.0 < float(values["r_bar"]) < 1.0
         assert "r_bar_closed_form" not in values
 
+    # C2 keeps the closed form at a constant L near either end of the float range
+    @pytest.mark.parametrize("l_const", ["1e-300", "1e-200", "1e300"])
+    def test_radius_at_extreme_scales_matches_the_closed_form(self, l_const, capsys):
+        code, out = run_cli(["radius", "--alpha", "0", "--beta", "1", "--kappa", "1",
+                             "--L", l_const], capsys)
+        assert code == 0
+        values = self.parse(out)
+        r_bar, closed = float(values["r_bar"]), float(values["r_bar_closed_form"])
+        assert abs(r_bar - closed) <= 1e-12 * closed
+        assert values["closed_form_discrepancy"] == "False"
+
     def test_missing_average_exit_2(self, capsys):
         assert cli.main(["radius", "--alpha", "0", "--beta", "1", "--kappa", "1"]) == 2
 

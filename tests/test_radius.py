@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -456,19 +457,34 @@ def test_convergence_radius_computes_sup_radius_once(monkeypatch):
     assert len(sup_calls) == 1
 
 
-def test_q_factor_makes_one_pass_over_the_average(monkeypatch):
+def _with_fn(average, wrap):
+    """A copy of ``average`` whose own function is ``wrap(fn)``.  The
+    quadrature checks [0, r] once and then calls that function directly, so
+    a wrapper there sees every evaluation of L, where one around
+    ``LipschitzAverage.__call__`` sees none of the quadrature's."""
+    twin = copy.copy(average)
+    twin._fn = wrap(average._fn)
+    return twin
+
+
+def _recording(average):
+    """(copy of ``average``, list of the abscissae its function is called at)."""
+    calls = []
+
+    def wrap(fn):
+        def recorded(u):
+            calls.append(u)
+            return fn(u)
+        return recorded
+
+    return _with_fn(average, wrap), calls
+
+
+def test_q_factor_makes_one_pass_over_the_average():
     # gamma_c = 2 gamma_0 - gamma_1, so q and (C1, C2) need only the pair
     # (integral L, integral u L), which one pass over L yields: no more L
     # evaluations than gamma_0 alone
-    calls = []
-    evaluate = LipschitzAverage.__call__
-
-    def counted(average, u):
-        calls.append(u)
-        return evaluate(average, u)
-
-    monkeypatch.setattr(LipschitzAverage, "__call__", counted)
-    avg = BUDGET_AVERAGES["callable"]
+    avg, calls = _recording(BUDGET_AVERAGES["callable"])
     r = 0.5 * sup_radius(BUDGET_CONSTANTS, avg)
     calls.clear()
     gamma_lambda(avg, 0.0, r)
@@ -479,6 +495,58 @@ def test_q_factor_makes_one_pass_over_the_average(monkeypatch):
             calls.clear()
             one_point()
             assert 0 < len(calls) <= gamma_0_calls
+
+
+# Evaluations of L in one center-mode convergence_radius at BUDGET_CONSTANTS
+# (sup radius, r_bar search): today's counts, so any growth fails.  One more
+# unconditional Simpson level roughly doubles them.
+L_EVALUATION_BUDGET = {"callable": 1693, "tabulated": 3968}
+
+
+@pytest.mark.parametrize("kind", sorted(L_EVALUATION_BUDGET))
+def test_convergence_radius_l_evaluation_budget(kind):
+    avg, calls = _recording(BUDGET_AVERAGES[kind])
+    convergence_radius(BUDGET_CONSTANTS, avg, CENTER)
+    assert 0 < len(calls) <= L_EVALUATION_BUDGET[kind]
+
+
+def test_quadrature_evaluates_the_average_only_on_0_r():
+    # the pass checks [0, r] once and then evaluates L unchecked, which is
+    # sound only while every abscissa it forms stays in [0, r]
+    limit = 2.0
+    knots = np.linspace(0.0, 1.5, 7)
+    constants = ProblemConstants(alpha=0.01, beta=0.01, kappa=2.0)
+    for average in (LipschitzAverage.from_callable(lambda u: (1.0 + u) ** 2, upper_limit=limit),
+                    LipschitzAverage.tabulated(knots, (1.0 + knots) ** 2, upper_limit=limit)):
+        avg, calls = _recording(average)
+        for r in (1e-60, 1e-8, 0.3, 1.5, 1.7, math.nextafter(limit, 0.0)):
+            for evaluate in (lambda: gamma_lambda(avg, 0.0, r), lambda: gamma_lambda(avg, 2.5, r),
+                             lambda: gamma_c(avg, r),
+                             lambda: q_factor(constants, avg, CENTER, r),
+                             lambda: q_factor(constants, avg, RADIUS, r)):
+                calls.clear()
+                evaluate()
+                assert calls and all(0.0 <= u <= r for u in calls), r
+
+
+def _plain(u):
+    return 2.0 if u < 0.5 else 2.0 + (u - 0.5) ** 2
+
+
+@pytest.mark.parametrize("fn", [lambda u: np.float64(_plain(u)),
+                                lambda u: 2 if u < 0.5 else _plain(u)],
+                         ids=["float64", "int-piece"])
+def test_means_are_python_floats_whatever_the_average_returns(fn):
+    # the quadrature converts each value of L with float(), as __call__ does
+    want, got = LipschitzAverage.from_callable(_plain), LipschitzAverage.from_callable(fn)
+    constants = unit_constants(0.01)
+    for r in (0.3, 1.0):
+        for mean in (lambda avg: gamma_lambda(avg, 0.0, r), lambda avg: gamma_lambda(avg, 1.5, r),
+                     lambda avg: gamma_c(avg, r),
+                     lambda avg: contraction_constants(constants, avg, CENTER, 0.1 * r)[1],
+                     lambda avg: q_factor(constants, avg, RADIUS, 0.1 * r)):
+            value = mean(got)
+            assert type(value) is float and value.hex() == mean(want).hex(), r
 
 
 def _random_table(rng):
@@ -579,19 +647,22 @@ EVALUATION_LIMIT = 10 ** 5
 
 
 @pytest.fixture
-def bounded_evaluations(monkeypatch):
-    """Fail the test once any average has been evaluated EVALUATION_LIMIT times."""
+def bounded_evaluations():
+    """``bound(fn)`` wraps an average's function so that the test fails once
+    bounded functions have been called EVALUATION_LIMIT times in all;
+    ``bound.calls[0] = 0`` restarts the count."""
     calls = [0]
-    evaluate = LipschitzAverage.__call__
 
-    def counted(average, u):
-        calls[0] += 1
-        if calls[0] > EVALUATION_LIMIT:
-            pytest.fail(f"more than {EVALUATION_LIMIT} evaluations of L")
-        return evaluate(average, u)
+    def bound(fn):
+        def counted(u):
+            calls[0] += 1
+            if calls[0] > EVALUATION_LIMIT:
+                pytest.fail(f"more than {EVALUATION_LIMIT} evaluations of L")
+            return fn(u)
+        return counted
 
-    monkeypatch.setattr(LipschitzAverage, "__call__", counted)
-    return calls
+    bound.calls = calls
+    return bound
 
 
 NAN_RADIUS_CALLS = {
@@ -606,26 +677,27 @@ NAN_RADIUS_CALLS = {
 @pytest.mark.parametrize("kind", sorted(BUDGET_AVERAGES))
 @pytest.mark.parametrize("name", sorted(NAN_RADIUS_CALLS))
 def test_nan_radius_raises(bounded_evaluations, kind, name):
+    avg = _with_fn(BUDGET_AVERAGES[kind], bounded_evaluations)
     with pytest.raises(OutOfDomainError):
-        NAN_RADIUS_CALLS[name](BUDGET_AVERAGES[kind], NAN)
+        NAN_RADIUS_CALLS[name](avg, NAN)
     with pytest.raises(OutOfDomainError):
-        BUDGET_AVERAGES[kind](NAN)
+        avg(NAN)
 
 
 def test_callable_non_finite_beyond_a_point_is_rejected(bounded_evaluations):
     with pytest.raises(ValueError):
-        LipschitzAverage.from_callable(lambda u: 1.0 if u < 0.3 else NAN)
+        LipschitzAverage.from_callable(bounded_evaluations(lambda u: 1.0 if u < 0.3 else NAN))
 
 
 @pytest.mark.parametrize("bad", [NAN, INF])
 def test_quadrature_raises_on_non_finite_values_between_samples(bounded_evaluations, bad):
     # construction samples L at multiples of 1/4 only, so this window passes
     # it; the quadrature's first levels land inside the window
-    avg = LipschitzAverage.from_callable(lambda u: bad if 0.3 < u < 0.45 else 1.0 + u)
+    avg = LipschitzAverage.from_callable(bounded_evaluations(lambda u: bad if 0.3 < u < 0.45 else 1.0 + u))
     for evaluate in (lambda: gamma_lambda(avg, 0.0, 1.0),
                      lambda: q_factor(unit_constants(0.01), avg, RADIUS, 0.4),
                      lambda: sup_radius(unit_constants(), avg)):
-        bounded_evaluations[0] = 0
+        bounded_evaluations.calls[0] = 0
         with pytest.raises(ValueError, match="not finite"):
             evaluate()
 

@@ -22,6 +22,13 @@ class ShapeMismatchError(Exception):
     """Operands have incompatible dimensions."""
 
 
+def _require_full_rank(s, rank_tolerance: float, error: type[Exception] = RankDeficientError):
+    """The one numerical-rank rule: raise ``error`` unless the descending
+    singular values ``s`` have sigma_min > rank_tolerance * sigma_max > 0."""
+    if s[0] == 0.0 or s[-1] <= rank_tolerance * s[0]:
+        raise error(f"sigma_min={s[-1]:.3e} <= {rank_tolerance:.1e} * sigma_max={s[0]:.3e}")
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate and convert to a 2-d float array with finite entries."""
     m = np.asarray(a, dtype=float)
@@ -71,10 +78,7 @@ def pseudoinverse(a, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> PinvResu
     if not 0 < rank_tolerance < np.inf:
         raise ValueError("rank_tolerance must be positive and finite")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= rank_tolerance * s[0]:
-        raise RankDeficientError(
-            f"sigma_min={s[-1]:.3e} <= {rank_tolerance:.1e} * sigma_max={s[0]:.3e}"
-        )
+    _require_full_rank(s, rank_tolerance)
     pinv = (vt.T / s) @ u.T
     return PinvResult(pinv=pinv)
 
@@ -109,6 +113,5 @@ def condition_data(a) -> tuple[float, float]:
     if m.shape[0] < m.shape[1]:
         raise ShapeMismatchError(f"need rows >= cols, got {m.shape[0]}x{m.shape[1]}")
     s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= DEFAULT_RANK_TOLERANCE * s[0]:
-        raise RankDeficientError(f"sigma_min={s[-1]:.3e} relative to sigma_max={s[0]:.3e}")
+    _require_full_rank(s, DEFAULT_RANK_TOLERANCE)
     return float(1.0 / s[-1]), float(s[0] / s[-1])

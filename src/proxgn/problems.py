@@ -9,7 +9,6 @@ them raises ExternalDefinitionUnavailableError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -30,18 +29,12 @@ class EmptyBoxError(Exception):
     """A box transform produced an empty feasible set."""
 
 
-class CaseSource(str, Enum):
-    STANDARD = "standard_collection"
-    EXTERNAL_NLE = "external_nle"
-
-
 @dataclass(frozen=True)
 class BenchmarkCase:
     problem: Problem
     box: Box
     reference_x: np.ndarray | None
     reference_avg_iterations: int | None
-    source: CaseSource
 
     def __post_init__(self):
         if self.problem.n != self.box.dimension:
@@ -136,7 +129,7 @@ def _standard_case(name, m, residual, jacobian, lower, upper, reference_x, avg_i
     return BenchmarkCase(
         problem=Problem(n=reference_x.size, m=m, residual=residual, jacobian=jacobian, name=name),
         box=Box(lower, upper), reference_x=reference_x,
-        reference_avg_iterations=avg_iterations, source=CaseSource.STANDARD)
+        reference_avg_iterations=avg_iterations)
 
 
 # Built once, at import: get_case hands every caller the same case.
@@ -184,10 +177,6 @@ EXTERNAL_CASE_INFO: dict[str, dict] = {
 }
 
 CASE_NAMES = ("rosenbrock", "kowalik", "osborne1", "osborne2", "twoeq6", "teneq1b")
-
-
-def case_names() -> tuple[str, ...]:
-    return CASE_NAMES
 
 
 def get_case(name: str) -> BenchmarkCase:

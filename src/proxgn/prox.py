@@ -23,8 +23,6 @@ import numpy as np
 
 from .linalg import RankDeficientError, ShapeMismatchError, as_matrix, as_vector
 
-DimensionMismatchError = ShapeMismatchError  # kept name of the one length-mismatch type
-
 
 @dataclass(frozen=True)
 class Box:
@@ -97,25 +95,6 @@ def project_box(z, box: Box) -> np.ndarray:
     """Componentwise clamp of z onto the box (identity-metric projection)."""
     v = as_vector(z, box.dimension)
     return np.minimum(np.maximum(v, box.lower), box.upper)
-
-
-def is_firmly_nonexpansive(fn, dim: int, samples: int = 64, seed: int = 0,
-                           scale: float = 1.0, slack: float = 1e-10) -> bool:
-    """Sample-test ||p1 - p2||^2 <= <p1 - p2, z1 - z2> on random pairs.
-
-    A valid prox of a convex function satisfies this for every pair; use it
-    to vet a CustomProx candidate before handing it to the solver.
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        z1 = scale * rng.standard_normal(dim)
-        z2 = scale * rng.standard_normal(dim)
-        p1 = as_vector(fn(z1), dim)
-        p2 = as_vector(fn(z2), dim)
-        d = p1 - p2
-        if float(d @ d) > float(d @ (z1 - z2)) + slack:
-            return False
-    return True
 
 
 def normal_cone_gap(v, box: Box, x, atol: float = 0.0) -> np.ndarray:

@@ -179,18 +179,19 @@ def _integral_means(average: LipschitzAverage, lam: float, r: float) -> tuple[fl
     knots = () if average.breakpoints is None else average.breakpoints
     cuts = [0.0] + [float(u) for u in knots if 0.0 < u < r] + [r]
     int0 = int_lam = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        a0, m0, b0 = float(fn(lo)), float(fn(mid)), float(fn(hi))
-        a1, m1, b1 = (lo ** lam) * a0, (mid ** lam) * m0, (hi ** lam) * b0
-        w = (hi - lo) / 6.0
-        w0, w1 = w * (a0 + 4.0 * m0 + b0), w * (a1 + 4.0 * m1 + b1)
-        t0 = QUADRATURE_REL_TOL * max(abs(w0), (hi - lo) * max(abs(a0), abs(m0), abs(b0)), 1e-300)
-        t1 = QUADRATURE_REL_TOL * max(abs(w1), (hi - lo) * max(abs(a1), abs(m1), abs(b1)), 1e-300)
-        part0, part_lam = recurse(lo, hi, a0, a1, m0, m1, b0, b1, w0, w1, t0, t1, 48)
-        int0 += part0
-        int_lam += part_lam
+    # u ** lam for u in [0, r] and r ** (1 + lam) may overflow or underflow to 0
     try:
+        for lo, hi in zip(cuts, cuts[1:]):
+            mid = 0.5 * (lo + hi)
+            a0, m0, b0 = float(fn(lo)), float(fn(mid)), float(fn(hi))
+            a1, m1, b1 = (lo ** lam) * a0, (mid ** lam) * m0, (hi ** lam) * b0
+            w = (hi - lo) / 6.0
+            w0, w1 = w * (a0 + 4.0 * m0 + b0), w * (a1 + 4.0 * m1 + b1)
+            t0 = QUADRATURE_REL_TOL * max(abs(w0), (hi - lo) * max(abs(a0), abs(m0), abs(b0)), 1e-300)
+            t1 = QUADRATURE_REL_TOL * max(abs(w1), (hi - lo) * max(abs(a1), abs(m1), abs(b1)), 1e-300)
+            part0, part_lam = recurse(lo, hi, a0, a1, m0, m1, b0, b1, w0, w1, t0, t1, 48)
+            int0 += part0
+            int_lam += part_lam
         return int0 / r, int_lam / (r ** (1.0 + lam))
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"r={r!r} to the power {1.0 + lam!r} leaves the float range") from None
@@ -396,7 +397,6 @@ class RadiusSummary:
     """Bundle of the radius computation for reporting."""
 
     h: float
-    admissible: bool
     sup_radius: float
     r_bar: float
     r_bar_capped: bool
@@ -413,7 +413,7 @@ def convergence_radius(constants: ProblemConstants, average: LipschitzAverage,
     below 1 up to the sup radius, which is then returned as r_bar.  Inadmissible
     constants raise ConditionViolatedError from ``r_bar_numeric``.
     """
-    h, admissible = check_small_residual(constants, average(0.0))
+    h = check_small_residual(constants, average(0.0))[0]
     r_sup = sup_radius(constants, average)
     numeric = r_bar_numeric(constants, average, mode, _sup=r_sup)
     closed = None
@@ -423,7 +423,6 @@ def convergence_radius(constants: ProblemConstants, average: LipschitzAverage,
         discrepancy = abs(closed - numeric) > 1e-9 * closed
     return RadiusSummary(
         h=h,
-        admissible=admissible,
         sup_radius=r_sup,
         r_bar=numeric,
         r_bar_capped=numeric >= r_sup,

@@ -10,10 +10,10 @@ once, by the least-squares solve for the Gauss-Newton point, and are shared by
 the rank check, the box prox, the step record, the next step and the report.
 
 Each array is checked once, where it enters: ``solve`` checks x0, ``_evaluate``
-every F and J, and ``_gn_core`` the Gauss-Newton point z it forms.  Inside
-``solve``'s loop the private hand-offs carry that trust: with ``_linearized`` a
-step takes x (the checked start or the previous prox output) as it is, and
-with ``_svals`` the prox takes J and z as they are.
+every F and J, and ``_gn_core`` z and, by linalg's one rank rule, J's rank.
+Inside ``solve``'s loop the private hand-offs carry that trust: ``_linearized``
+lets a step take x (the checked start or the previous prox output) as it is,
+``_svals`` the prox J and z, and ``_stationarity_at`` the final x, F and J.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOLERANCE, as_vector
+from .linalg import DEFAULT_RANK_TOLERANCE, RankDeficientError, _require_full_rank, as_vector
 from .prox import InnerConfig, Penalty, prox_metric
 
 
@@ -33,7 +33,7 @@ class InvalidPointError(Exception):
     """A point left the validity domain or produced non-finite values."""
 
 
-class JacobianRankDeficientError(Exception):
+class JacobianRankDeficientError(RankDeficientError):
     """F'(x) lost numerical column rank."""
 
 
@@ -140,10 +140,7 @@ def _evaluate(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _gn_core(x: np.ndarray, f: np.ndarray, j: np.ndarray, rank_tol: float):
     """Gauss-Newton point from one linearization, checked finite: (z, singular values of J)."""
     step, _, _, svals = np.linalg.lstsq(j, f, rcond=None)
-    if svals[0] == 0.0 or svals[-1] <= rank_tol * svals[0]:
-        raise JacobianRankDeficientError(
-            f"sigma_min={svals[-1]:.3e} <= {rank_tol:.1e} * sigma_max={svals[0]:.3e}"
-        )
+    _require_full_rank(svals, rank_tol, JacobianRankDeficientError)
     z = x - step
     if not np.isfinite(z).all():
         raise InvalidPointError("Gauss-Newton point has non-finite entries")
@@ -230,9 +227,15 @@ def solve(problem: Problem, penalty: Penalty, x0, cfg: SolverConfig = SolverConf
         objective = 0.5 * float(fj[0] @ fj[0])
         # J^T F can overflow at a rank-loss exit; the stationarity is then inf
         with suppress(JacobianRankDeficientError), np.errstate(over="ignore", invalid="ignore"):
-            stationarity = stationarity_residual(problem, penalty, x, cfg.rank_tolerance, _fj=fj)
+            stationarity = _stationarity_at(penalty, x, *fj, cfg.rank_tolerance)
     return SolveReport(status=status, final_x=x, trace=trace, objective=objective,
                        projected_start=projected_start, stationarity_residual=stationarity)
+
+
+def _stationarity_at(penalty: Penalty, x: np.ndarray, f: np.ndarray, j: np.ndarray,
+                     rank_tol: float) -> float:
+    """stationarity_residual at a checked x with (F, J) = (f, j) at x."""
+    return penalty._stationarity(x, j, j.T @ f, lambda: _gn_core(x, f, j, rank_tol))
 
 
 def stationarity_residual(
@@ -240,8 +243,6 @@ def stationarity_residual(
     penalty: Penalty,
     x,
     rank_tol: float = DEFAULT_RANK_TOLERANCE,
-    *,
-    _fj: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Violation of the first-order condition -F'(x)^T F(x) in dJ(x).
 
@@ -249,12 +250,10 @@ def stationarity_residual(
     gradient norm ||F'(x)^T F(x)||.  Box indicator: the norm of the
     componentwise distance of -F'(x)^T F(x) from the normal cone of the box
     at x.  Custom prox: the fixed-point residual ||x - prox_J^H(x - F'(x)^dag
-    F(x))||.  ``_fj`` is (F, J) at x when the caller already has it; x is
-    then trusted as already checked.
+    F(x))||.
     """
-    xv = as_vector(x, problem.n) if _fj is None else x
-    f, j = _evaluate(problem, xv) if _fj is None else _fj
-    return penalty._stationarity(xv, j, j.T @ f, lambda: _gn_core(xv, f, j, rank_tol))
+    xv = as_vector(x, problem.n)
+    return _stationarity_at(penalty, xv, *_evaluate(problem, xv), rank_tol)
 
 
 def estimate_rate(

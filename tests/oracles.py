@@ -145,6 +145,24 @@ def curved_embedding_problem(curvature: float = 1.0):
                    name="curved_embedding")
 
 
+def coupled_square_problem():
+    """Square zero-residual map F(x) = (x1 + x2^2, x2 + x1^2) with root 0.
+
+    J(x) = [[1, 2 x2], [2 x1, 1]] is I at the root and singular on
+    4 x1 x2 = 1, so Gauss-Newton is Newton's method there and converges
+    quadratically without finishing in finitely many steps.
+    """
+    from proxgn import Problem
+
+    def residual(x):
+        return np.array([x[0] + x[1] ** 2, x[1] + x[0] ** 2])
+
+    def jacobian(x):
+        return np.array([[1.0, 2.0 * x[1]], [2.0 * x[0], 1.0]])
+
+    return Problem(n=2, m=2, residual=residual, jacobian=jacobian, name="coupled_square")
+
+
 def quadratic_radius(alpha: float, beta: float, kappa: float, l_const: float, mode) -> float:
     """r_bar for constant L from the companion-matrix roots of the q = 1 quadratic.
 

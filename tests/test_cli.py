@@ -101,7 +101,7 @@ class TestSolveCommand:
     def test_problem_file(self, tmp_path, capsys):
         source = """
 import numpy as np
-from proxgn import BenchmarkCase, Box, CaseSource, Problem
+from proxgn import BenchmarkCase, Box, Problem
 
 A = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 B = np.array([1.0, 1.0, 1.0])
@@ -111,8 +111,7 @@ def make_case():
                       jacobian=lambda x: A, name="linear3x2")
     box = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
     return BenchmarkCase(problem=problem, box=box, reference_x=None,
-                         reference_avg_iterations=None,
-                         source=CaseSource.STANDARD)
+                         reference_avg_iterations=None)
 """
         path = tmp_path / "user_case.py"
         path.write_text(source)

@@ -8,7 +8,6 @@ from proxgn import (
     ExternalDefinitionUnavailableError,
     Problem,
     UnknownProblemError,
-    case_names,
     finite_diff_jacobian,
     get_case,
     operator_norm,
@@ -67,8 +66,8 @@ COLUMN_FORMULAS = {"kowalik": _kowalik_columns, "osborne1": _osborne1_columns,
 
 class TestRegistry:
     def test_case_names(self):
-        assert case_names() == ("rosenbrock", "kowalik", "osborne1", "osborne2",
-                                "twoeq6", "teneq1b")
+        assert problems.CASE_NAMES == ("rosenbrock", "kowalik", "osborne1", "osborne2",
+                                       "twoeq6", "teneq1b")
 
     @pytest.mark.parametrize("name", sorted(TABLE))
     def test_case_metadata(self, name):
@@ -80,7 +79,6 @@ class TestRegistry:
         assert np.array_equal(case.box.upper, np.asarray(upper, float))
         assert np.array_equal(case.reference_x, np.asarray(reference, float))
         assert case.reference_avg_iterations == avg
-        assert case.source == problems.CaseSource.STANDARD
         assert case.box.contains(case.reference_x, atol=1e-4)
         x = case.reference_x
         assert case.problem.residual(x).shape == (m,)

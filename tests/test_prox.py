@@ -5,8 +5,8 @@ from proxgn import (
     Box,
     BoxIndicator,
     CustomProx,
-    DimensionMismatchError,
     InnerConfig,
+    ShapeMismatchError,
     ZeroPenalty,
     normal_cone_gap,
     operator_norm,
@@ -44,7 +44,7 @@ class TestBox:
         assert np.array_equal(project_box([2.0, -3.0], box), [1.0, 0.0])
         one_sided = Box(np.array([-INF]), np.array([1.0]))
         assert np.array_equal(project_box([5.0], one_sided), [1.0])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ShapeMismatchError):
             project_box([1.0, 2.0, 3.0], box)
 
 
@@ -277,38 +277,15 @@ class TestPullback:
             assert np.linalg.norm(got - want) <= 1e-9
 
     def test_shape_validation(self):
-        from proxgn import ShapeMismatchError
-
         with pytest.raises(ShapeMismatchError):
             prox_via_pullback(lambda y: y, np.eye(3), np.eye(2), np.zeros(3))
 
 
-class TestFirmNonexpansiveness:
-    def test_projection_passes(self):
-        from proxgn import is_firmly_nonexpansive
-
-        box = Box(np.array([-0.5, 0.0]), np.array([0.5, 1.0]))
-        assert is_firmly_nonexpansive(lambda z: project_box(z, box), 2)
-
-    def test_soft_threshold_passes(self):
-        from proxgn import is_firmly_nonexpansive
-
-        soft = lambda v: np.sign(v) * np.maximum(np.abs(v) - 0.3, 0.0)
-        assert is_firmly_nonexpansive(soft, 3)
-
-    def test_expansion_fails(self):
-        from proxgn import is_firmly_nonexpansive
-
-        assert not is_firmly_nonexpansive(lambda z: 2.0 * z, 2)
-        # reflections are nonexpansive but not firmly so
-        assert not is_firmly_nonexpansive(lambda z: -z, 2)
-
-
 def test_prox_metric_dimension_mismatch():
     box = Box(np.zeros(2), np.ones(2))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ShapeMismatchError):
         prox_metric(BoxIndicator(box), np.eye(2), [0.1, 0.2, 0.3])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ShapeMismatchError):
         prox_metric(BoxIndicator(Box(np.zeros(3), np.ones(3))), np.eye(2), [0.1, 0.2])
 
 
@@ -325,7 +302,7 @@ def test_public_prox_metric_checks_its_arguments(penalty):
             prox_metric(penalty, np.where(a == 1.0, bad, a), z)
         with pytest.raises(ValueError):
             prox_metric(penalty, a, np.array([0.5, bad]))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ShapeMismatchError):
         prox_metric(penalty, a, np.array([0.5, 2.0, 0.0]))
 
 
@@ -362,9 +339,8 @@ def test_start_is_the_point_itself_in_the_domain_and_a_fresh_clamp_outside():
 
 @pytest.mark.parametrize("dim", [1, 3])
 def test_every_entry_point_raises_shape_mismatch_for_a_wrong_length_box(dim):
-    from proxgn import ShapeMismatchError, get_case, solve, stationarity_residual
+    from proxgn import get_case, solve, stationarity_residual
 
-    assert DimensionMismatchError is ShapeMismatchError
     box, x = Box(np.full(dim, -2.0), np.full(dim, 2.0)), np.zeros(2)
     problem = get_case("rosenbrock").problem
     for call in (lambda: solve(problem, BoxIndicator(box), x),

@@ -283,7 +283,7 @@ class TestRadius:
         c = unit_constants()
         avg = LipschitzAverage.constant(1.0)
         summary = convergence_radius(c, avg, CENTER)
-        assert summary.admissible
+        assert summary.h < 1
         assert summary.h == 0.0
         assert summary.r_bar_closed is not None
         assert not summary.closed_form_discrepancy
@@ -715,6 +715,15 @@ def test_quadrature_past_the_float_range_raises_value_error(l0, r):
     avg = LipschitzAverage.tabulated([0.0, 1.0], [l0, 2.0 * l0])
     with pytest.raises(ValueError, match="float range"):
         gamma_c(avg, r)
+
+
+@pytest.mark.parametrize("average", [LipschitzAverage.tabulated([0.0, 1.0], [1.0, 2.0]),
+                                     LipschitzAverage.from_callable(lambda u: 1.0 + u)],
+                         ids=["tabulated", "callable"])
+def test_integrand_past_the_float_range_raises_value_error(average):
+    # u^2 overflows inside the Simpson pass, before r^3 is formed
+    with pytest.raises(ValueError, match="float range"):
+        gamma_lambda(average, 2.0, 1e200)
 
 
 def test_sup_radius_past_the_float_range_raises_value_error():

@@ -19,6 +19,7 @@ from proxgn import (
     Penalty,
     Problem,
     ProblemConstants,
+    RankDeficientError,
     ShapeMismatchError,
     SolveStatus,
     SolverConfig,
@@ -36,7 +37,8 @@ from proxgn import (
 )
 from proxgn import solver as solver_module
 from proxgn.cli import sample_starts
-from oracles import box_kkt_gap, curved_embedding_problem, exact_box_prox, normal_equation_pinv
+from oracles import (box_kkt_gap, coupled_square_problem, curved_embedding_problem, exact_box_prox,
+                     normal_equation_pinv)
 
 
 def linear_problem(a, b):
@@ -88,6 +90,8 @@ class TestGaussNewtonPoint:
                           jacobian=lambda x: np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(JacobianRankDeficientError):
             gauss_newton_point(problem, [1.0, 2.0])
+        # one rank rule: the solver's error is a linalg RankDeficientError
+        assert issubclass(JacobianRankDeficientError, RankDeficientError)
 
     def test_invalid_point_raises(self):
         problem = Problem(n=1, m=1, residual=lambda x: x.copy(),
@@ -264,6 +268,20 @@ class TestEstimateRate:
         assert report.status == SolveStatus.CONVERGED
         _, order = estimate_rate(report.trace, np.zeros(2))
         assert order >= 1.7
+
+    @pytest.mark.parametrize("x0", [(0.3, 0.2), (0.4, -0.3), (0.1, -0.4), (0.45, 0.1)])
+    @pytest.mark.parametrize("penalty", [
+        ZeroPenalty(), BoxIndicator(Box(np.array([0.0, -np.inf]), np.full(2, np.inf)))],
+        ids=["zero", "box"])
+    def test_quadratic_order_where_gauss_newton_does_not_finish(self, x0, penalty):
+        # the paper's quadratic rate at alpha = 0, bounded on both sides; the
+        # root x* = 0 lies on the box face x1 = 0, and iterates land on it
+        report = solve(coupled_square_problem(), penalty, np.array(x0))
+        assert report.status == SolveStatus.CONVERGED
+        if isinstance(penalty, BoxIndicator):
+            assert any(rec.x[0] == 0.0 for rec in report.trace)
+        _, order = estimate_rate(report.trace, np.zeros(2))
+        assert 1.8 <= order <= 2.2
 
     def test_rounding_floor_scales_with_the_solution(self):
         # one ulp at x* = 2^30 is 2^-22: iterates that stall there sit at

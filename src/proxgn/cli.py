@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, problems, radius
+from . import checks, linalg, problems, radius
 from .prox import BoxIndicator, InnerConfig, ZeroPenalty
 from .solver import SolveReport, SolveStatus, SolverConfig, solve
 
@@ -29,6 +29,7 @@ CSV_TRACE_HEADER = "n,step_norm,residual_norm,inner_iterations,jacobian_conditio
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="proxgn")
+    defaults = SolverConfig()
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="run the solver on a benchmark case")
@@ -39,10 +40,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--x0", help="explicit start, comma-separated")
     ps.add_argument("--starts", type=int, default=1, help="number of random starts")
     ps.add_argument("--seed", type=int, default=0, help="RNG seed for random starts")
-    ps.add_argument("--epsilon", type=float, default=1e-12,
-                    help="outer and inner convergence tolerance")
-    ps.add_argument("--max-outer", type=int, default=200)
-    ps.add_argument("--max-inner", type=int, default=10_000,
+    ps.add_argument("--epsilon", type=float, default=defaults.outer_tolerance,
+                    help="outer tolerance; also the inner one, which no CLI penalty reads")
+    ps.add_argument("--max-outer", type=int, default=defaults.max_outer)
+    ps.add_argument("--max-inner", type=int, default=defaults.inner.max_iterations,
                     help="cap on the box prox's BVLS iterations")
     ps.add_argument("--format", choices=("json", "csv", "human"), default="human")
     ps.add_argument("--output", help="write the report here instead of stdout")
@@ -174,7 +175,7 @@ def _json_report(args, case_name, results, cfg: SolverConfig, seed) -> str:
             "tolerances": {
                 "outer": cfg.outer_tolerance,
                 "inner": cfg.inner.tolerance,
-                "rank": cfg.rank_tolerance,
+                "rank": linalg.DEFAULT_RANK_TOLERANCE,
             },
         },
         "starts": starts_payload,
@@ -246,8 +247,8 @@ def cmd_solve(args) -> int:
         except ValueError:
             print(f"error: cannot parse --x0 {args.x0!r}", file=sys.stderr)
             return 2
-        if x0.shape != (case.problem.n,):
-            print(f"error: --x0 needs {case.problem.n} components", file=sys.stderr)
+        if x0.shape != (case.problem.n,) or not np.isfinite(x0).all():
+            print(f"error: --x0 needs {case.problem.n} finite components", file=sys.stderr)
             return 2
         starts = [x0]
     else:

@@ -1,13 +1,12 @@
 """Dense linear-algebra kernel: pseudoinverses, norms, conditioning.
 
-Everything here assumes real matrices with full column rank.  The
-pseudoinverse is computed from an SVD (orthogonal factorization), never
-by forming and inverting the Gram matrix A^T A, which would square the
-condition number.
+Everything here assumes real matrices with full column rank, certified by
+one rank rule with the fixed relative tolerance DEFAULT_RANK_TOLERANCE.
+``pseudoinverse`` returns the matrix, computed from an SVD (orthogonal
+factorization), never by forming and inverting the Gram matrix A^T A,
+which would square the condition number.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +21,11 @@ class ShapeMismatchError(Exception):
     """Operands have incompatible dimensions."""
 
 
-def _require_full_rank(s, rank_tolerance: float, error: type[Exception] = RankDeficientError):
-    """The one numerical-rank rule: raise ``error`` unless the descending
-    singular values ``s`` have sigma_min > rank_tolerance * sigma_max > 0."""
-    if s[0] == 0.0 or s[-1] <= rank_tolerance * s[0]:
-        raise error(f"sigma_min={s[-1]:.3e} <= {rank_tolerance:.1e} * sigma_max={s[0]:.3e}")
+def _require_full_rank(s, error: type[Exception] = RankDeficientError):
+    """The one numerical-rank rule: raise ``error`` unless the descending singular
+    values ``s`` have sigma_min > DEFAULT_RANK_TOLERANCE * sigma_max > 0."""
+    if s[0] == 0.0 or s[-1] <= DEFAULT_RANK_TOLERANCE * s[0]:
+        raise error(f"sigma_min={s[-1]:.3e} <= {DEFAULT_RANK_TOLERANCE:.1e} * sigma_max={s[0]:.3e}")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -51,36 +50,26 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class PinvResult:
-    """Pseudoinverse of a full-column-rank matrix."""
-
-    pinv: np.ndarray
-
-
 def operator_norm(a) -> float:
     """Spectral norm (largest singular value)."""
     m = as_matrix(a)
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def pseudoinverse(a, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> PinvResult:
+def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse of an injective matrix (m >= n).
 
     Raises RankDeficientError when the smallest singular value is at or
-    below ``rank_tolerance * ||A||``, i.e. when A cannot be certified to
-    have full column rank in floating point.
+    below ``DEFAULT_RANK_TOLERANCE * ||A||``, i.e. when A cannot be certified
+    to have full column rank in floating point.
     """
     m = as_matrix(a)
     rows, cols = m.shape
     if rows < cols:
         raise ShapeMismatchError(f"need rows >= cols, got {rows}x{cols}")
-    if not 0 < rank_tolerance < np.inf:
-        raise ValueError("rank_tolerance must be positive and finite")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    _require_full_rank(s, rank_tolerance)
-    pinv = (vt.T / s) @ u.T
-    return PinvResult(pinv=pinv)
+    _require_full_rank(s)
+    return (vt.T / s) @ u.T
 
 
 def verify_penrose(a, p, tol: float) -> bool:
@@ -113,5 +102,5 @@ def condition_data(a) -> tuple[float, float]:
     if m.shape[0] < m.shape[1]:
         raise ShapeMismatchError(f"need rows >= cols, got {m.shape[0]}x{m.shape[1]}")
     s = np.linalg.svd(m, compute_uv=False)
-    _require_full_rank(s, DEFAULT_RANK_TOLERANCE)
+    _require_full_rank(s)
     return float(1.0 / s[-1]), float(s[0] / s[-1])

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import RankDeficientError, ShapeMismatchError, as_matrix, as_vector
+from .linalg import RankDeficientError, ShapeMismatchError, as_matrix, as_vector, pseudoinverse
 
 
 @dataclass(frozen=True)
@@ -272,16 +272,14 @@ def _bvls(mat, z, start, box: Box, max_iterations: int):
     return point, k, converged
 
 
-def prox_via_pullback(prox_composed: Callable[[np.ndarray], np.ndarray], a, pinv, z) -> np.ndarray:
+def prox_via_pullback(prox_composed: Callable[[np.ndarray], np.ndarray], a, z) -> np.ndarray:
     """Pull-back identity: prox_phi^H(z) = A^dag prox_{phi o A^dag}(A z).
 
     ``prox_composed`` must evaluate the identity-metric prox of phi o A^dag
-    on the range space; ``pinv`` must be the pseudoinverse of ``a``.
+    on the range space; A^dag is ``pseudoinverse(a)``, so ``a`` must be
+    injective.
     """
     mat = as_matrix(a)
-    p = as_matrix(pinv)
-    if p.shape != mat.shape[::-1]:
-        raise ShapeMismatchError(f"pinv must be {mat.shape[::-1]}, got {p.shape}")
     x = as_vector(z, mat.shape[1])
     lifted = as_vector(prox_composed(mat @ x), mat.shape[0])
-    return p @ lifted
+    return pseudoinverse(mat) @ lifted

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOLERANCE, RankDeficientError, _require_full_rank, as_vector
+from .linalg import RankDeficientError, _require_full_rank, as_vector
 from .prox import InnerConfig, Penalty, prox_metric
 
 
@@ -71,11 +71,9 @@ class SolverConfig:
     outer_tolerance: float = 1e-12
     max_outer: int = 200
     inner: InnerConfig = field(default_factory=InnerConfig)
-    rank_tolerance: float = DEFAULT_RANK_TOLERANCE
 
     def __post_init__(self):
-        if not (0 < self.outer_tolerance < math.inf and self.max_outer >= 1
-                and 0 < self.rank_tolerance < math.inf):
+        if not (0 < self.outer_tolerance < math.inf and self.max_outer >= 1):
             raise ValueError("solver configuration values must be positive and finite")
 
 
@@ -137,20 +135,20 @@ def _evaluate(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f, j
 
 
-def _gn_core(x: np.ndarray, f: np.ndarray, j: np.ndarray, rank_tol: float):
+def _gn_core(x: np.ndarray, f: np.ndarray, j: np.ndarray):
     """Gauss-Newton point from one linearization, checked finite: (z, singular values of J)."""
     step, _, _, svals = np.linalg.lstsq(j, f, rcond=None)
-    _require_full_rank(svals, rank_tol, JacobianRankDeficientError)
+    _require_full_rank(svals, JacobianRankDeficientError)
     z = x - step
     if not np.isfinite(z).all():
         raise InvalidPointError("Gauss-Newton point has non-finite entries")
     return z, svals
 
 
-def gauss_newton_point(problem: Problem, x, rank_tol: float = DEFAULT_RANK_TOLERANCE) -> np.ndarray:
+def gauss_newton_point(problem: Problem, x) -> np.ndarray:
     """z = x - F'(x)^dag F(x), via a least-squares solve."""
     xv = as_vector(x, problem.n)
-    return _gn_core(xv, *_evaluate(problem, xv), rank_tol)[0]
+    return _gn_core(xv, *_evaluate(problem, xv))[0]
 
 
 def prox_gn_step(
@@ -171,7 +169,7 @@ def prox_gn_step(
     xv, carry = (as_vector(x, problem.n), {}) if _linearized is None else (x, _linearized)
     carry["fj"] = carry.get("fj") or _evaluate(problem, xv)
     f, j = carry["fj"]
-    z, svals = _gn_core(xv, f, j, cfg.rank_tolerance)
+    z, svals = _gn_core(xv, f, j)
     outcome = prox_metric(penalty, j, z, cfg.inner, _svals=svals)
     x_next = outcome.point
     try:
@@ -227,23 +225,17 @@ def solve(problem: Problem, penalty: Penalty, x0, cfg: SolverConfig = SolverConf
         objective = 0.5 * float(fj[0] @ fj[0])
         # J^T F can overflow at a rank-loss exit; the stationarity is then inf
         with suppress(JacobianRankDeficientError), np.errstate(over="ignore", invalid="ignore"):
-            stationarity = _stationarity_at(penalty, x, *fj, cfg.rank_tolerance)
+            stationarity = _stationarity_at(penalty, x, *fj)
     return SolveReport(status=status, final_x=x, trace=trace, objective=objective,
                        projected_start=projected_start, stationarity_residual=stationarity)
 
 
-def _stationarity_at(penalty: Penalty, x: np.ndarray, f: np.ndarray, j: np.ndarray,
-                     rank_tol: float) -> float:
+def _stationarity_at(penalty: Penalty, x: np.ndarray, f: np.ndarray, j: np.ndarray) -> float:
     """stationarity_residual at a checked x with (F, J) = (f, j) at x."""
-    return penalty._stationarity(x, j, j.T @ f, lambda: _gn_core(x, f, j, rank_tol))
+    return penalty._stationarity(x, j, j.T @ f, lambda: _gn_core(x, f, j))
 
 
-def stationarity_residual(
-    problem: Problem,
-    penalty: Penalty,
-    x,
-    rank_tol: float = DEFAULT_RANK_TOLERANCE,
-) -> float:
+def stationarity_residual(problem: Problem, penalty: Penalty, x) -> float:
     """Violation of the first-order condition -F'(x)^T F(x) in dJ(x).
 
     The penalty's ``_stationarity`` hook measures it.  Zero penalty: the
@@ -253,7 +245,7 @@ def stationarity_residual(
     F(x))||.
     """
     xv = as_vector(x, problem.n)
-    return _stationarity_at(penalty, xv, *_evaluate(problem, xv), rank_tol)
+    return _stationarity_at(penalty, xv, *_evaluate(problem, xv))
 
 
 def estimate_rate(

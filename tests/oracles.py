@@ -123,20 +123,22 @@ def box_kkt_gap(problem, box, x) -> float:
     return float(np.linalg.norm(g))
 
 
-def curved_embedding_problem(curvature: float = 1.0):
-    """Zero-residual test map F(x) = (x1, x2, c/2 * |x|^2) with minimizer 0.
+def curved_embedding_problem(curvature: float = 1.0, t: float = 0.0, s: float = 0.0):
+    """Test map F(x) = (x1 + t, x2, c/2 * |x|^2 + s) with stationary point 0.
 
     Its Jacobian is [[1,0],[0,1],[c x1, c x2]], whose variation has operator
     norm exactly c * ||x - y||: the Jacobian-Lipschitz constant (and hence
-    the constant center/radius average) is c.  At the minimizer
-    alpha = 0, beta = 1, kappa = 1.
+    the constant center/radius average) is c.  At x* = 0, beta = 1,
+    kappa = 1 and alpha = ||F(0)|| = hypot(t, s).  The gradient J(0)^T F(0)
+    is (t, 0), so 0 is stationary without a penalty when t = 0, and for the
+    box x1 >= 0 when t > 0.  t = s = 0 gives the zero-residual embedding.
     """
     from proxgn import Problem
 
     c = float(curvature)
 
     def residual(x):
-        return np.array([x[0], x[1], 0.5 * c * (x[0] ** 2 + x[1] ** 2)])
+        return np.array([x[0] + t, x[1], 0.5 * c * (x[0] ** 2 + x[1] ** 2) + s])
 
     def jacobian(x):
         return np.array([[1.0, 0.0], [0.0, 1.0], [c * x[0], c * x[1]]])

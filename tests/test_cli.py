@@ -92,8 +92,15 @@ class TestSolveCommand:
         assert cli.main(["solve", "--case", "twoeq6"]) == 3
 
     def test_bad_x0_exit_2(self, capsys):
-        assert cli.main(["solve", "--case", "rosenbrock", "--x0", "a,b"]) == 2
-        assert cli.main(["solve", "--case", "rosenbrock", "--x0", "1.0"]) == 2
+        for x0 in ("a,b", "1.0", "nan,1", "inf,1", "1e400,1"):
+            assert cli.main(["solve", "--case", "rosenbrock", "--x0", x0]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+
+    def test_no_case_exit_3(self, capsys):
+        assert cli.main(["solve"]) == 3
+        assert "need --case or --problem-file" in capsys.readouterr().err
 
     def test_bad_flag_exit_2(self, capsys):
         assert cli.main(["solve", "--nonsense"]) == 2
@@ -136,6 +143,13 @@ def make_case():
         code, out = run_cli(["solve", "--config", str(cfg), "--starts", "2"], capsys)
         assert code == 0
         assert len(json.loads(out)["starts"]) == 2
+
+    def test_config_equals_form_and_true_switch(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("case = rosenbrock\nx0 = 0.5,0.5\nformat = json\ntrace = true\n")
+        code, out = run_cli(["solve", f"--config={cfg}"], capsys)
+        assert code == 0
+        assert "trace" in json.loads(out)["starts"][0]
 
     def test_config_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -214,6 +228,11 @@ class TestRadiusCommand:
     def test_missing_average_exit_2(self, capsys):
         assert cli.main(["radius", "--alpha", "0", "--beta", "1", "--kappa", "1"]) == 2
 
+    def test_both_averages_exit_2(self, capsys):
+        assert cli.main(["radius", "--alpha", "0", "--beta", "1", "--kappa", "1",
+                         "--L", "1", "--L-table", "0:1,1:2"]) == 2
+        assert "either --L or --L-table" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_clean_build_passes(self, capsys):
@@ -291,7 +310,7 @@ class TestValidateCommand:
     def test_error_fails_its_check(self, capsys, monkeypatch):
         from proxgn import RankDeficientError
 
-        def broken(a, rank_tolerance=1e-10):
+        def broken(a):
             raise RankDeficientError("injected")
 
         monkeypatch.setattr(cli.checks, "pseudoinverse", broken)
@@ -374,6 +393,18 @@ class TestRobustness:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_problem_file_without_a_python_suffix_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "case.txt"
+        path.write_text("def make_case():\n    return None\n")
+        assert cli.main(["solve", "--problem-file", str(path)]) == 3
+        assert "cannot load" in capsys.readouterr().err
+
+    def test_make_case_returning_a_non_case_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "not_a_case.py"
+        path.write_text("def make_case():\n    return 42\n")
+        assert cli.main(["solve", "--problem-file", str(path)]) == 3
+        assert "must return a BenchmarkCase" in capsys.readouterr().err
 
     def test_missing_make_case_is_named(self, tmp_path, capsys):
         path = tmp_path / "no_case.py"

@@ -1,7 +1,36 @@
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import proxgn
+
+# the private keyword hand-offs that bench/ passes to public functions
+PINNED_PRIVATE_PARAMETERS = {
+    ("prox_gn_step", "_linearized"),
+    ("prox_metric", "_svals"),
+    ("r_bar_numeric", "_sup"),
+}
+
+
+def public_signatures():
+    """(name, signature) of each callable in __all__ and of each public method
+    its classes define; exception classes, which have no signature, are skipped,
+    and so are field defaults such as ``Problem.validity``."""
+    for name in proxgn.__all__:
+        obj = getattr(proxgn, name)
+        if not callable(obj):
+            continue
+        try:
+            yield name, inspect.signature(obj)
+        except ValueError:
+            pass
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                fn = getattr(member, "__func__", member)
+                if inspect.isfunction(fn) and fn.__qualname__ == f"{obj.__qualname__}.{attr}" \
+                        and not attr.startswith("_"):
+                    yield f"{name}.{attr}", inspect.signature(getattr(obj, attr))
 
 
 def test_all_is_exactly_what_the_package_imports():
@@ -11,3 +40,18 @@ def test_all_is_exactly_what_the_package_imports():
     assert sorted(proxgn.__all__) == sorted(imported)
     for name in proxgn.__all__:
         assert getattr(proxgn, name) is not None
+
+
+def test_private_parameters_are_only_the_pinned_hand_offs():
+    private = {(name, param) for name, sig in public_signatures()
+               for param in sig.parameters if param.startswith("_")}
+    assert private == PINNED_PRIVATE_PARAMETERS
+
+
+def test_rank_tolerance_is_not_a_setting():
+    # the one rank rule reads DEFAULT_RANK_TOLERANCE; nothing public takes it
+    params = [(name, param) for name, sig in public_signatures() for param in sig.parameters]
+    params += [(name, f.name) for name in proxgn.__all__
+               if dataclasses.is_dataclass(getattr(proxgn, name))
+               for f in dataclasses.fields(getattr(proxgn, name))]
+    assert [p for p in params if "rank" in p[1].lower()] == []

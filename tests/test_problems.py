@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from proxgn import (
+    BenchmarkCase,
     Box,
     BoxIndicator,
     EmptyBoxError,
@@ -169,6 +170,12 @@ class TestFiniteDifferences:
             assert np.array_equal(got_j, want_j)
             assert np.array_equal(case.problem.residual(x), want_f)
 
+    def test_wrong_length_point(self):
+        from proxgn import InvalidPointError
+
+        with pytest.raises(InvalidPointError):
+            finite_diff_jacobian(get_case("rosenbrock").problem, np.zeros(3))
+
     def test_domain_violation(self):
         from proxgn import InvalidPointError
 
@@ -177,6 +184,14 @@ class TestFiniteDifferences:
                           validity=lambda x: x[0] < 1.0)
         with pytest.raises(InvalidPointError):
             finite_diff_jacobian(problem, np.array([1.0 - 1e-9]), 1e-6)
+
+
+def test_benchmark_case_validation():
+    case = get_case("rosenbrock")
+    with pytest.raises(ValueError, match="dimensions"):
+        BenchmarkCase(case.problem, Box(np.zeros(3), np.ones(3)), None, None)
+    with pytest.raises(ValueError, match="reference"):
+        BenchmarkCase(case.problem, case.box, np.array([5.0, 0.0]), None)
 
 
 class TestReferenceStationarity:

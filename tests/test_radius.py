@@ -52,6 +52,12 @@ class TestAverages:
         with pytest.raises(ValueError):
             LipschitzAverage.tabulated([0.0, 0.0], [1.0, 2.0])
 
+    def test_shape_and_monotonicity_validation(self):
+        with pytest.raises(ValueError, match="matching"):
+            LipschitzAverage.tabulated([0.0, 1.0, 2.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="non-decreasing"):
+            LipschitzAverage.from_callable(lambda u: 2.0 - 0.1 * u, upper_limit=2.0)
+
     def test_domain(self):
         avg = LipschitzAverage.from_callable(lambda u: 1.0 + u, upper_limit=2.0)
         assert avg(1.9) == pytest.approx(2.9)
@@ -732,6 +738,21 @@ def test_sup_radius_past_the_float_range_raises_value_error():
     avg = LipschitzAverage.tabulated([0.0, 1.0], [1e-200, 1e-200])
     with pytest.raises(ValueError, match="float range"):
         sup_radius(ProblemConstants(0.0, 1e-200, 1.0), avg)
+
+
+@pytest.mark.parametrize("values", [[1e-310, 1e-310], [1e308, 1.7e308]], ids=["tiny", "huge"])
+def test_sup_radius_bracket_outside_the_normal_range_raises(values):
+    # 1/(beta*L(0)) overflows to inf, or the seed 1/(beta*L(0))/1024 is subnormal
+    avg = LipschitzAverage.tabulated([0.0, 1.0], values)
+    with pytest.raises(ValueError, match="normal float range"):
+        sup_radius(unit_constants(), avg)
+
+
+def test_sup_radius_root_below_the_normal_range_raises():
+    # beta*gamma_0(r)*r = 1 at r = 1e-310: Brent's bracket closes onto 0
+    avg = LipschitzAverage.from_callable(lambda u: 1.0 if u == 0 else 1e300)
+    with pytest.raises(ValueError, match="closed onto 0"):
+        sup_radius(ProblemConstants(0.0, 1e10, 1.0), avg)
 
 
 def test_average_jumping_at_zero_raises_a_library_error():

@@ -38,7 +38,7 @@ from proxgn import (
 from proxgn import solver as solver_module
 from proxgn.cli import sample_starts
 from oracles import (box_kkt_gap, coupled_square_problem, curved_embedding_problem, exact_box_prox,
-                     normal_equation_pinv)
+                     normal_equation_pinv, quadratic_radius)
 
 
 def linear_problem(a, b):
@@ -92,6 +92,16 @@ class TestGaussNewtonPoint:
             gauss_newton_point(problem, [1.0, 2.0])
         # one rank rule: the solver's error is a linalg RankDeficientError
         assert issubclass(JacobianRankDeficientError, RankDeficientError)
+
+    def test_wrong_residual_length_raises(self):
+        problem = Problem(n=2, m=3, residual=lambda x: x.copy(),
+                          jacobian=lambda x: np.ones((3, 2)))
+        with pytest.raises(InvalidPointError, match="shapes"):
+            gauss_newton_point(problem, [1.0, 2.0])
+        # solve reports the misdeclared problem as an exit from the domain
+        report = solve(problem, ZeroPenalty(), np.array([1.0, 2.0]))
+        assert report.status == SolveStatus.LEFT_DOMAIN
+        assert report.trace == []
 
     def test_invalid_point_raises(self):
         problem = Problem(n=1, m=1, residual=lambda x: x.copy(),
@@ -283,6 +293,31 @@ class TestEstimateRate:
         _, order = estimate_rate(report.trace, np.zeros(2))
         assert 1.8 <= order <= 2.2
 
+    @pytest.mark.parametrize("penalty", [
+        ZeroPenalty(), BoxIndicator(Box(np.array([0.0, -np.inf]), np.full(2, np.inf)))],
+        ids=["zero", "box"])
+    def test_linear_tail_ratio_at_most_h(self, penalty):
+        # the paper's linear rate at alpha > 0: e_{n+1}/e_n tends to C1(0) = h.
+        # On F = (x1 + t, x2, c/2 |x|^2 + s), x* = 0, beta = kappa = 1 and L = c;
+        # the box x1 >= 0 is active at x* with multiplier t > 0
+        rng = np.random.default_rng(16)
+        boxed = isinstance(penalty, BoxIndicator)
+        for _ in range(25):
+            c, h = rng.uniform(0.5, 4.0), rng.uniform(0.2, 0.9)
+            alpha = h / ((2.0 + np.sqrt(2.0)) * c)
+            # (t, s) = alpha (cos, sin) of an angle; t = 0 without the box
+            angle = rng.uniform(0.1, 1.4) if boxed else np.pi / 2
+            t = alpha * np.cos(angle) if boxed else 0.0
+            s = alpha * np.sin(angle) * rng.choice([-1.0, 1.0])
+            # a start at 0.9 r_bar, in the half-plane x1 >= 0 for the box
+            theta = rng.uniform(-np.pi / 2, np.pi / 2) + (0.0 if boxed else rng.choice([0.0, np.pi]))
+            rho0 = 0.9 * quadratic_radius(alpha, 1.0, 1.0, c, "center")
+            x0 = rho0 * np.array([np.cos(theta), np.sin(theta)])
+            report = solve(curved_embedding_problem(c, t, s), penalty, x0)
+            assert report.status == SolveStatus.CONVERGED
+            q_linear, _ = estimate_rate(report.trace, np.zeros(2))
+            assert q_linear <= h + 1e-6
+
     def test_rounding_floor_scales_with_the_solution(self):
         # one ulp at x* = 2^30 is 2^-22: iterates that stall there sit at
         # rounding-level distances far above the absolute floor 1e-10
@@ -336,9 +371,9 @@ def test_problem_validation():
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("field", ["outer_tolerance", "rank_tolerance"])
+@pytest.mark.parametrize("field", ["outer_tolerance"])
 def test_solver_config_rejects_non_finite_settings(field, value):
-    # a NaN rank tolerance would switch off the injectivity test of F'(x)
+    # a NaN tolerance would switch off the stop rule
     with pytest.raises(ValueError, match="finite"):
         SolverConfig(**{field: value})
 

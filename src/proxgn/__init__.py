@@ -5,125 +5,22 @@ Gauss-Newton step with a proximity operator in the metric
 H(x) = F'(x)^T F'(x).  The :mod:`radius` module quantifies the local
 convergence ball under generalized Lipschitz assumptions; :mod:`problems`
 ships box-constrained benchmark fits and :mod:`cli` a benchmark runner.
+
+Each re-exported module declares its public API in its own ``__all__``;
+the package's ``__all__`` is their concatenation.
 """
-from .linalg import (
-    DEFAULT_RANK_TOLERANCE,
-    RankDeficientError,
-    ShapeMismatchError,
-    condition_data,
-    operator_norm,
-    pseudoinverse,
-    verify_penrose,
-)
-from .prox import (
-    Box,
-    BoxIndicator,
-    CustomProx,
-    InnerConfig,
-    Penalty,
-    ProxOutcome,
-    ZeroPenalty,
-    normal_cone_gap,
-    project_box,
-    prox_metric,
-    prox_via_pullback,
-)
-from .radius import (
-    ConditionViolatedError,
-    LipschitzAverage,
-    LipschitzMode,
-    OutOfDomainError,
-    ProblemConstants,
-    RadiusSummary,
-    check_small_residual,
-    contraction_constants,
-    convergence_radius,
-    gamma_c,
-    gamma_lambda,
-    q_factor,
-    r_bar_closed_form,
-    r_bar_numeric,
-    sup_radius,
-)
-from .solver import (
-    InsufficientDataError,
-    InvalidPointError,
-    IterationRecord,
-    JacobianRankDeficientError,
-    Problem,
-    SolveReport,
-    SolveStatus,
-    SolverConfig,
-    estimate_rate,
-    gauss_newton_point,
-    prox_gn_step,
-    solve,
-    stationarity_residual,
-)
-from .problems import (
-    BenchmarkCase,
-    EmptyBoxError,
-    ExternalDefinitionUnavailableError,
-    UnknownProblemError,
-    finite_diff_jacobian,
-    get_case,
-    shrink_box,
-)
+from . import linalg, prox, radius, solver, problems
+from .linalg import *  # noqa: F403
+from .prox import *  # noqa: F403
+from .radius import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .problems import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Box",
-    "BoxIndicator",
-    "BenchmarkCase",
-    "ConditionViolatedError",
-    "CustomProx",
-    "DEFAULT_RANK_TOLERANCE",
-    "EmptyBoxError",
-    "ExternalDefinitionUnavailableError",
-    "InnerConfig",
-    "InsufficientDataError",
-    "InvalidPointError",
-    "IterationRecord",
-    "JacobianRankDeficientError",
-    "LipschitzAverage",
-    "LipschitzMode",
-    "OutOfDomainError",
-    "Penalty",
-    "Problem",
-    "ProblemConstants",
-    "ProxOutcome",
-    "RadiusSummary",
-    "RankDeficientError",
-    "ShapeMismatchError",
-    "SolveReport",
-    "SolveStatus",
-    "SolverConfig",
-    "UnknownProblemError",
-    "ZeroPenalty",
-    "check_small_residual",
-    "condition_data",
-    "contraction_constants",
-    "convergence_radius",
-    "estimate_rate",
-    "finite_diff_jacobian",
-    "gamma_c",
-    "gamma_lambda",
-    "gauss_newton_point",
-    "get_case",
-    "normal_cone_gap",
-    "operator_norm",
-    "project_box",
-    "prox_gn_step",
-    "prox_metric",
-    "prox_via_pullback",
-    "pseudoinverse",
-    "q_factor",
-    "r_bar_closed_form",
-    "r_bar_numeric",
-    "shrink_box",
-    "solve",
-    "stationarity_residual",
-    "sup_radius",
-    "verify_penrose",
-]
+__all__ = []
+__all__ += linalg.__all__
+__all__ += prox.__all__
+__all__ += radius.__all__
+__all__ += solver.__all__
+__all__ += problems.__all__

@@ -6,8 +6,9 @@ constants), ``validate`` (self-check suite).  A ``--config`` file with
 ``key = value`` lines mirrors the flags; explicit flags win.
 
 Exit codes: 0 success, 1 failed runs or failed checks, 2 argument/config
-errors and radius computations that leave the float range, 3 unknown
-problem or a problem file that fails to load, 4 inadmissible radius constants.
+errors, an ``--output`` that cannot be written and radius computations that
+leave the float range, 3 unknown problem or a problem file that fails to load
+or declares the wrong residual/Jacobian shapes, 4 inadmissible radius constants.
 """
 from __future__ import annotations
 
@@ -94,11 +95,18 @@ def _expand_config(argv: list[str]) -> list[str]:
     return head + injected + tail
 
 
-def _emit(text: str, output: str | None):
-    if output:
-        Path(output).write_text(text)
-    else:
+def _emit(text: str, output: str | None, code: int) -> int:
+    """Write the report to ``output`` or stdout; return ``code``, or 2 when
+    ``output`` cannot be written."""
+    if not output:
         sys.stdout.write(text)
+        return code
+    try:
+        Path(output).write_text(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 def _load_case(args) -> problems.BenchmarkCase:
@@ -255,7 +263,11 @@ def cmd_solve(args) -> int:
         seed = args.seed
         starts = sample_starts(case, args.starts, args.seed)
 
-    results = [(x0, solve(case.problem, penalty, x0, cfg)) for x0 in starts]
+    try:
+        results = [(x0, solve(case.problem, penalty, x0, cfg)) for x0 in starts]
+    except linalg.ShapeMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     case_name = args.case or case.problem.name or "custom"
     if args.format == "json":
         text = _json_report(args, case_name, results, cfg, seed)
@@ -263,8 +275,8 @@ def cmd_solve(args) -> int:
         text = _csv_report(results)
     else:
         text = _human_report(case, case_name, results)
-    _emit(text, args.output)
-    return 0 if all(r.status == SolveStatus.CONVERGED for _, r in results) else 1
+    return _emit(text, args.output,
+                 0 if all(r.status == SolveStatus.CONVERGED for _, r in results) else 1)
 
 
 def _parse_average(args) -> radius.LipschitzAverage:
@@ -297,8 +309,7 @@ def cmd_radius(args) -> int:
     lines = [f"h = {h!r}", f"admissible = {admissible}"]
     if not admissible:
         lines.append("small-residual condition violated: h >= 1, no radius exists")
-        _emit("\n".join(lines) + "\n", args.output)
-        return 4
+        return _emit("\n".join(lines) + "\n", args.output, 4)
     lines.append(f"mode = {mode.value}")
     lines.append(f"sup_radius = {summary.sup_radius!r}")
     lines.append(f"r_bar = {summary.r_bar!r}")
@@ -312,8 +323,7 @@ def cmd_radius(args) -> int:
     top = min(summary.r_bar, summary.sup_radius * (1.0 - 1e-9))
     for r in np.linspace(0.0, top, max(args.samples, 2)):
         lines.append(f"{float(r)!r},{radius.q_factor(constants, average, mode, float(r))!r}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return _emit("\n".join(lines) + "\n", args.output, 0)
 
 
 def cmd_validate(args) -> int:
@@ -325,8 +335,7 @@ def cmd_validate(args) -> int:
         lines.append(f"{r.name:<{width}}  {status}  {r.detail}")
     n_fail = sum(not r.passed for r in results)
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0 if n_fail == 0 and results else 1
+    return _emit("\n".join(lines) + "\n", args.output, 0 if n_fail == 0 and results else 1)
 
 
 def main(argv=None) -> int:

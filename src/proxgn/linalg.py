@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["DEFAULT_RANK_TOLERANCE", "RankDeficientError", "ShapeMismatchError", "condition_data",
+           "operator_norm", "pseudoinverse", "verify_penrose"]
+
 DEFAULT_RANK_TOLERANCE = 1e-10
 
 

@@ -13,8 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data
+from .linalg import ShapeMismatchError
 from .prox import Box
 from .solver import InvalidPointError, Problem
+
+__all__ = ["BenchmarkCase", "EmptyBoxError", "ExternalDefinitionUnavailableError",
+           "UnknownProblemError", "finite_diff_jacobian", "get_case", "shrink_box"]
 
 
 class UnknownProblemError(Exception):
@@ -197,7 +201,7 @@ def finite_diff_jacobian(problem: Problem, x, h: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian, column i = (F(x + h e_i) - F(x - h e_i)) / 2h."""
     base = np.asarray(x, dtype=float)
     if base.shape != (problem.n,):
-        raise InvalidPointError(f"point must have shape ({problem.n},)")
+        raise ShapeMismatchError(f"point must have shape ({problem.n},)")
     cols = []
     for i in range(problem.n):
         forward = base.copy()

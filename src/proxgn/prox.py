@@ -23,6 +23,9 @@ import numpy as np
 
 from .linalg import RankDeficientError, ShapeMismatchError, as_matrix, as_vector, pseudoinverse
 
+__all__ = ["Box", "BoxIndicator", "CustomProx", "InnerConfig", "Penalty", "ProxOutcome",
+           "ZeroPenalty", "normal_cone_gap", "project_box", "prox_metric", "prox_via_pullback"]
+
 
 @dataclass(frozen=True)
 class Box:

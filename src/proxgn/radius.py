@@ -15,6 +15,11 @@ The pass checks once that [0, r] lies in L's domain, then evaluates L's own
 function unchecked: every abscissa it forms lies in [0, r].
 The convergence radius r_bar is where q crosses 1, a root found by Brent's
 method; for constant L it has a closed form via a quadratic in z = beta*L*r.
+
+An average is built from a callable, ``LipschitzAverage(fn, R)`` or
+``LipschitzAverage.from_callable``, whose finiteness, positivity and
+monotonicity on [0, R) are checked by sampling at construction; or by
+``constant`` and ``tabulated``, which check their value or samples directly.
 """
 from __future__ import annotations
 
@@ -25,6 +30,11 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+
+__all__ = ["ConditionViolatedError", "LipschitzAverage", "LipschitzMode", "OutOfDomainError",
+           "ProblemConstants", "RadiusSummary", "check_small_residual", "contraction_constants",
+           "convergence_radius", "gamma_c", "gamma_lambda", "q_factor", "r_bar_closed_form",
+           "r_bar_numeric", "sup_radius"]
 
 SQRT2_PLUS_1 = 1.0 + math.sqrt(2.0)
 QUADRATURE_REL_TOL = 1e-10
@@ -44,34 +54,48 @@ class ConditionViolatedError(Exception):
 class LipschitzAverage:
     """A positive, non-decreasing, continuous average L on [0, R).
 
-    Construct through :meth:`constant`, :meth:`from_callable` or
-    :meth:`tabulated`.  Finiteness, positivity and monotonicity of a
-    callable average are checked by sampling.
+    ``LipschitzAverage(fn, R)``, which :meth:`from_callable` calls, checks by
+    sampling that ``fn`` is finite, positive and non-decreasing on [0, R).
+    :meth:`constant` and :meth:`tabulated` check their own arguments instead,
+    without sampling, and record the value or the knots for the quadrature.
     """
 
-    def __init__(self, fn: Callable[[float], float], upper_limit: float,
-                 constant_value: float | None = None,
-                 breakpoints: np.ndarray | None = None):
+    def __init__(self, fn: Callable[[float], float], upper_limit: float):
+        self._setup(fn, upper_limit)
+        span = self.upper_limit if math.isfinite(self.upper_limit) else 16.0
+        grid = np.linspace(0.0, span * (1.0 - 1e-12), 65)
+        vals = np.array([float(fn(u)) for u in grid])
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("average must be finite on [0, R)")
+        # L(0) = 0 is tolerated so the integral means stay usable for
+        # averages like L(u) = u; positivity is required away from 0
+        if vals[0] < 0 or np.any(vals[1:] <= 0):
+            raise ValueError("average must be positive on (0, R)")
+        if np.any(np.diff(vals) < -1e-12 * max(1.0, float(vals[-1]))):
+            raise ValueError("average must be non-decreasing")
+
+    def _setup(self, fn, upper_limit, constant_value=None, breakpoints=None) -> "LipschitzAverage":
+        """The fields, without sampling: ``constant`` and ``tabulated`` call it
+        on ``cls.__new__(cls)`` after checking their own arguments."""
         self._fn = fn
         self.upper_limit = float(upper_limit)
         self.constant_value = constant_value
         self.breakpoints = breakpoints
         if not self.upper_limit > 0:
             raise ValueError("upper domain limit must be positive")
+        return self
 
     @classmethod
     def constant(cls, value: float) -> "LipschitzAverage":
         v = float(value)
         if not 0.0 < v < math.inf:
             raise ValueError("a constant average must be positive and finite")
-        return cls(lambda _u: v, math.inf, constant_value=v)
+        return cls.__new__(cls)._setup(lambda _u: v, math.inf, constant_value=v)
 
     @classmethod
     def from_callable(cls, fn: Callable[[float], float],
                       upper_limit: float = math.inf) -> "LipschitzAverage":
-        avg = cls(fn, upper_limit)
-        avg._check_samples()
-        return avg
+        return cls(fn, upper_limit)
 
     @classmethod
     def tabulated(cls, points, values, upper_limit: float | None = None) -> "LipschitzAverage":
@@ -106,21 +130,8 @@ class LipschitzAverage:
                 return last
             return slopes[j] * (u - xs[j]) + ys[j]
 
-        limit = math.inf if upper_limit is None else float(upper_limit)
-        return cls(interp, limit, breakpoints=us)
-
-    def _check_samples(self, count: int = 65):
-        span = self.upper_limit if math.isfinite(self.upper_limit) else 16.0
-        grid = np.linspace(0.0, span * (1.0 - 1e-12), count)
-        vals = np.array([float(self._fn(u)) for u in grid])
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("average must be finite on [0, R)")
-        # L(0) = 0 is tolerated so the integral means stay usable for
-        # averages like L(u) = u; positivity is required away from 0
-        if vals[0] < 0 or np.any(vals[1:] <= 0):
-            raise ValueError("average must be positive on (0, R)")
-        if np.any(np.diff(vals) < -1e-12 * max(1.0, float(vals[-1]))):
-            raise ValueError("average must be non-decreasing")
+        limit = math.inf if upper_limit is None else upper_limit
+        return cls.__new__(cls)._setup(interp, limit, breakpoints=us)
 
     @property
     def is_constant(self) -> bool:

@@ -25,8 +25,12 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import RankDeficientError, _require_full_rank, as_vector
+from .linalg import RankDeficientError, ShapeMismatchError, _require_full_rank, as_vector
 from .prox import InnerConfig, Penalty, prox_metric
+
+__all__ = ["InsufficientDataError", "InvalidPointError", "IterationRecord",
+           "JacobianRankDeficientError", "Problem", "SolveReport", "SolveStatus", "SolverConfig",
+           "estimate_rate", "gauss_newton_point", "prox_gn_step", "solve", "stationarity_residual"]
 
 
 class InvalidPointError(Exception):
@@ -118,7 +122,11 @@ class SolveReport:
 
 
 def _evaluate(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and Jacobian at a valid point, with J and ||F||^2 checked finite."""
+    """Residual and Jacobian at a valid point, with J and ||F||^2 checked finite.
+
+    Shapes that differ from the problem's (m, n) are a misdeclared problem, not
+    a property of x, and raise ShapeMismatchError, which ``solve`` lets escape.
+    """
     if not problem.validity(x):
         raise InvalidPointError(f"point {x} is outside the validity domain")
     # an overflow in F, J or ||F||^2 ends the run as left_domain, not as a warning
@@ -126,7 +134,7 @@ def _evaluate(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         f = np.asarray(problem.residual(x), dtype=float)
         j = np.asarray(problem.jacobian(x), dtype=float)
         if f.shape != (problem.m,) or j.shape != (problem.m, problem.n):
-            raise InvalidPointError(
+            raise ShapeMismatchError(
                 f"residual/jacobian shapes {f.shape}/{j.shape} do not match "
                 f"({problem.m},)/({problem.m},{problem.n})"
             )
@@ -193,7 +201,8 @@ def solve(problem: Problem, penalty: Penalty, x0, cfg: SolverConfig = SolverConf
     The bound is ``max(outer_tolerance, 2^-49 ||x||)``; the second term,
     8 ulp(1) ||x||, is the rounding floor of a step at x.  The report status
     says why the run ended: convergence, iteration budget, numerical rank
-    loss of the Jacobian, or an iterate leaving the validity domain.  A start
+    loss of the Jacobian, or an iterate leaving the validity domain; a
+    residual or Jacobian of the wrong shape raises ShapeMismatchError.  A start
     outside dom J is replaced by the penalty's start (a box clamps it) and
     flagged; every later iterate is a prox output, in dom J.
     """

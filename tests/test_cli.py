@@ -412,6 +412,36 @@ class TestRobustness:
         assert cli.main(["solve", "--problem-file", str(path)]) == 3
         assert "defines no make_case()" in capsys.readouterr().err
 
+    def test_misdeclared_problem_file_exit_3(self, tmp_path, capsys):
+        # the residual has length n = 2, not the declared m = 3
+        path = tmp_path / "misdeclared.py"
+        path.write_text(
+            "import numpy as np\n"
+            "from proxgn import BenchmarkCase, Box, Problem\n\n\n"
+            "def make_case():\n"
+            "    problem = Problem(n=2, m=3, residual=lambda x: x.copy(),\n"
+            "                      jacobian=lambda x: np.ones((3, 2)))\n"
+            "    return BenchmarkCase(problem, Box(np.zeros(2), np.ones(2)), None, None)\n")
+        assert cli.main(["solve", "--problem-file", str(path), "--x0", "0.5,0.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: residual/jacobian shapes (2,)/(3, 2)")
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--case", "rosenbrock", "--x0", "0.5,0.5"],
+        ["radius", "--alpha", "0", "--beta", "1", "--kappa", "1", "--L", "1"],
+        ["radius", "--alpha", "1", "--beta", "1", "--kappa", "1", "--L", "1"],
+        ["validate", "--filter", "penrose"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_output_exit_2(self, command, where, tmp_path, capsys):
+        output = tmp_path if where == "directory" else tmp_path / "missing" / "report"
+        assert cli.main([*command, "--output", str(output)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_error_inside_make_case_is_reported_as_such(self, tmp_path, capsys):
         path = tmp_path / "raising_case.py"
         path.write_text("import numpy as np\n\n\ndef make_case():\n"

@@ -1,9 +1,8 @@
-import ast
 import dataclasses
 import inspect
-from pathlib import Path
 
 import proxgn
+from proxgn import linalg, problems, prox, radius, solver
 
 # the private keyword hand-offs that bench/ passes to public functions
 PINNED_PRIVATE_PARAMETERS = {
@@ -33,13 +32,21 @@ def public_signatures():
                     yield f"{name}.{attr}", inspect.signature(getattr(obj, attr))
 
 
-def test_all_is_exactly_what_the_package_imports():
-    tree = ast.parse(Path(proxgn.__file__).read_text())
-    imported = [alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert sorted(proxgn.__all__) == sorted(imported)
-    for name in proxgn.__all__:
-        assert getattr(proxgn, name) is not None
+def test_each_public_name_is_listed_once_next_to_its_definition():
+    modules = (linalg, prox, radius, solver, problems)
+    assert proxgn.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(proxgn.__all__)) == len(proxgn.__all__)
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, name
+        star: dict = {}
+        exec(f"from {module.__name__} import *", star)
+        assert sorted(set(star) - {"__builtins__"}) == sorted(module.__all__)
+    star = {}
+    exec("from proxgn import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(proxgn.__all__)
 
 
 def test_private_parameters_are_only_the_pinned_hand_offs():

@@ -171,9 +171,9 @@ class TestFiniteDifferences:
             assert np.array_equal(case.problem.residual(x), want_f)
 
     def test_wrong_length_point(self):
-        from proxgn import InvalidPointError
+        from proxgn import ShapeMismatchError
 
-        with pytest.raises(InvalidPointError):
+        with pytest.raises(ShapeMismatchError):
             finite_diff_jacobian(get_case("rosenbrock").problem, np.zeros(3))
 
     def test_domain_violation(self):

@@ -58,6 +58,16 @@ class TestAverages:
         with pytest.raises(ValueError, match="non-decreasing"):
             LipschitzAverage.from_callable(lambda u: 2.0 - 0.1 * u, upper_limit=2.0)
 
+    def test_constructor_checks_like_from_callable(self):
+        # a decreasing L is excluded by the theory; the constructor rejects it
+        # as from_callable does, instead of handing it to convergence_radius
+        with pytest.raises(ValueError, match="non-decreasing"):
+            LipschitzAverage(lambda u: 2.0 - u, 1.5)
+        with pytest.raises(ValueError, match="positive"):
+            LipschitzAverage(lambda u: 1.0 + u, 0.0)
+        avg = LipschitzAverage(lambda u: 1.0 + u, 2.0)
+        assert (avg.upper_limit, avg.constant_value, avg.breakpoints) == (2.0, None, None)
+
     def test_domain(self):
         avg = LipschitzAverage.from_callable(lambda u: 1.0 + u, upper_limit=2.0)
         assert avg(1.9) == pytest.approx(2.9)
@@ -756,7 +766,11 @@ def test_sup_radius_root_below_the_normal_range_raises():
 
 
 def test_average_jumping_at_zero_raises_a_library_error():
-    # q(0) = h = 0.17 but q(0+) > 1, so the first root of q = 1 closes onto 0
+    # q(0) = h = 0.17 but q(r) = 17.07 at every r > 0, so q = 1 has no
+    # positive root and the search drives r toward 0.  The ValueError comes
+    # from the quadrature, whose r ** 2 leaves the float range at
+    # r = 1.17e-163, before the search's own "closed onto 0" check; either
+    # library error passes
     avg = LipschitzAverage.from_callable(lambda u: 1.0 if u == 0 else 100.0)
     constants = ProblemConstants(0.05, 1.0, 1.0)
     assert check_small_residual(constants, avg(0.0))[1]

@@ -96,12 +96,11 @@ class TestGaussNewtonPoint:
     def test_wrong_residual_length_raises(self):
         problem = Problem(n=2, m=3, residual=lambda x: x.copy(),
                           jacobian=lambda x: np.ones((3, 2)))
-        with pytest.raises(InvalidPointError, match="shapes"):
+        with pytest.raises(ShapeMismatchError, match="shapes"):
             gauss_newton_point(problem, [1.0, 2.0])
-        # solve reports the misdeclared problem as an exit from the domain
-        report = solve(problem, ZeroPenalty(), np.array([1.0, 2.0]))
-        assert report.status == SolveStatus.LEFT_DOMAIN
-        assert report.trace == []
+        # a misdeclared problem is the caller's error, not an exit from the domain
+        with pytest.raises(ShapeMismatchError, match="shapes"):
+            solve(problem, ZeroPenalty(), np.array([1.0, 2.0]))
 
     def test_invalid_point_raises(self):
         problem = Problem(n=1, m=1, residual=lambda x: x.copy(),

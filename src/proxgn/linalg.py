@@ -31,7 +31,7 @@ def _require_full_rank(s, error: type[Exception] = RankDeficientError):
         raise error(f"sigma_min={s[-1]:.3e} <= {DEFAULT_RANK_TOLERANCE:.1e} * sigma_max={s[0]:.3e}")
 
 
-def as_matrix(a) -> np.ndarray:
+def _as_matrix(a) -> np.ndarray:
     """Validate and convert to a 2-d float array with finite entries."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.size == 0:
@@ -41,7 +41,7 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def as_vector(v, dim: int | None = None) -> np.ndarray:
+def _as_vector(v, dim: int | None = None) -> np.ndarray:
     """Validate and convert to a 1-d float array, optionally of fixed length."""
     x = np.asarray(v, dtype=float)
     if x.ndim != 1:
@@ -55,7 +55,7 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
 
 def operator_norm(a) -> float:
     """Spectral norm (largest singular value)."""
-    m = as_matrix(a)
+    m = _as_matrix(a)
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
@@ -66,7 +66,7 @@ def pseudoinverse(a) -> np.ndarray:
     below ``DEFAULT_RANK_TOLERANCE * ||A||``, i.e. when A cannot be certified
     to have full column rank in floating point.
     """
-    m = as_matrix(a)
+    m = _as_matrix(a)
     rows, cols = m.shape
     if rows < cols:
         raise ShapeMismatchError(f"need rows >= cols, got {rows}x{cols}")
@@ -81,8 +81,8 @@ def verify_penrose(a, p, tol: float) -> bool:
     The residuals are ||APA - A||, ||PAP - P||, ||(AP)^T - AP|| and
     ||(PA)^T - PA|| in the spectral norm.
     """
-    ma = as_matrix(a)
-    mp = as_matrix(p)
+    ma = _as_matrix(a)
+    mp = _as_matrix(p)
     if mp.shape != ma.shape[::-1]:
         raise ShapeMismatchError(
             f"pseudoinverse candidate must be {ma.shape[::-1]}, got {mp.shape}"
@@ -101,7 +101,7 @@ def verify_penrose(a, p, tol: float) -> bool:
 
 def condition_data(a) -> tuple[float, float]:
     """Return (||A^dag||, ||A^dag|| * ||A||) = (1/sigma_min, sigma_max/sigma_min)."""
-    m = as_matrix(a)
+    m = _as_matrix(a)
     if m.shape[0] < m.shape[1]:
         raise ShapeMismatchError(f"need rows >= cols, got {m.shape[0]}x{m.shape[1]}")
     s = np.linalg.svd(m, compute_uv=False)

@@ -17,8 +17,9 @@ from .linalg import ShapeMismatchError
 from .prox import Box
 from .solver import InvalidPointError, Problem
 
-__all__ = ["BenchmarkCase", "EmptyBoxError", "ExternalDefinitionUnavailableError",
-           "UnknownProblemError", "finite_diff_jacobian", "get_case", "shrink_box"]
+__all__ = ["BenchmarkCase", "CASE_NAMES", "EXTERNAL_CASE_INFO", "EmptyBoxError",
+           "ExternalDefinitionUnavailableError", "UnknownProblemError", "finite_diff_jacobian",
+           "get_case", "shrink_box"]
 
 
 class UnknownProblemError(Exception):

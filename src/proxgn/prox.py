@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import RankDeficientError, ShapeMismatchError, as_matrix, as_vector, pseudoinverse
+from .linalg import RankDeficientError, ShapeMismatchError, _as_matrix, _as_vector, pseudoinverse
 
 __all__ = ["Box", "BoxIndicator", "CustomProx", "InnerConfig", "Penalty", "ProxOutcome",
            "ZeroPenalty", "normal_cone_gap", "project_box", "prox_metric", "prox_via_pullback"]
@@ -53,7 +53,7 @@ class Box:
         return self.lower.shape[0]
 
     def contains(self, x, atol: float = 0.0) -> bool:
-        v = as_vector(x, self.dimension)
+        v = _as_vector(x, self.dimension)
         return bool(np.all(v >= self.lower - atol) and np.all(v <= self.upper + atol))
 
 
@@ -96,7 +96,7 @@ class ProxOutcome:
 
 def project_box(z, box: Box) -> np.ndarray:
     """Componentwise clamp of z onto the box (identity-metric projection)."""
-    v = as_vector(z, box.dimension)
+    v = _as_vector(z, box.dimension)
     return np.minimum(np.maximum(v, box.lower), box.upper)
 
 
@@ -107,8 +107,8 @@ def normal_cone_gap(v, box: Box, x, atol: float = 0.0) -> np.ndarray:
     everywhere else the cone is {0} and the gap is v itself.  An infinite
     bound is never within reach, since x is finite.
     """
-    g = as_vector(v, box.dimension).copy()
-    p = as_vector(x, box.dimension)
+    g = _as_vector(v, box.dimension).copy()
+    p = _as_vector(x, box.dimension)
     return _cone_gap(g, box, p, atol)
 
 
@@ -188,7 +188,7 @@ class CustomProx(Penalty):
         sigma = 1.0 / float(svals[0]) ** 2
         v = point.copy()
         for k in range(1, cfg.max_iterations + 1):
-            v_next = as_vector(self.prox_identity(v - sigma * (h @ (v - point))), point.shape[0])
+            v_next = _as_vector(self.prox_identity(v - sigma * (h @ (v - point))), point.shape[0])
             delta = float(np.linalg.norm(v_next - v))
             v = v_next
             if delta < cfg.tolerance:
@@ -214,7 +214,7 @@ def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig(), *,
     factorization and both checks: the returned point may then be ``z``
     itself.  Without it ``z`` is copied.
     """
-    mat, point = (a, z) if _svals is not None else (as_matrix(a), as_vector(z).copy())
+    mat, point = (a, z) if _svals is not None else (_as_matrix(a), _as_vector(z).copy())
     if point.shape[0] != mat.shape[1]:
         raise ShapeMismatchError(
             f"point has length {point.shape[0]}, metric expects {mat.shape[1]}"
@@ -282,7 +282,7 @@ def prox_via_pullback(prox_composed: Callable[[np.ndarray], np.ndarray], a, z) -
     on the range space; A^dag is ``pseudoinverse(a)``, so ``a`` must be
     injective.
     """
-    mat = as_matrix(a)
-    x = as_vector(z, mat.shape[1])
-    lifted = as_vector(prox_composed(mat @ x), mat.shape[0])
+    mat = _as_matrix(a)
+    x = _as_vector(z, mat.shape[1])
+    lifted = _as_vector(prox_composed(mat @ x), mat.shape[0])
     return pseudoinverse(mat) @ lifted

@@ -15,6 +15,7 @@ The pass checks once that [0, r] lies in L's domain, then evaluates L's own
 function unchecked: every abscissa it forms lies in [0, r].
 The convergence radius r_bar is where q crosses 1, a root found by Brent's
 method; for constant L it has a closed form via a quadratic in z = beta*L*r.
+L is non-decreasing, so each search starts at its bound for the constant L(0).
 
 An average is built from a callable, ``LipschitzAverage(fn, R)`` or
 ``LipschitzAverage.from_callable``, whose finiteness, positivity and
@@ -32,12 +33,12 @@ from typing import Callable
 import numpy as np
 
 __all__ = ["ConditionViolatedError", "LipschitzAverage", "LipschitzMode", "OutOfDomainError",
-           "ProblemConstants", "RadiusSummary", "check_small_residual", "contraction_constants",
-           "convergence_radius", "gamma_c", "gamma_lambda", "q_factor", "r_bar_closed_form",
-           "r_bar_numeric", "sup_radius"]
+           "ProblemConstants", "RadiusSummary", "SQRT2_PLUS_1", "check_small_residual",
+           "contraction_constants", "convergence_radius", "gamma_c", "gamma_lambda", "q_factor",
+           "r_bar_closed_form", "r_bar_numeric", "sup_radius"]
 
 SQRT2_PLUS_1 = 1.0 + math.sqrt(2.0)
-QUADRATURE_REL_TOL = 1e-10
+_QUADRATURE_REL_TOL = 1e-10
 _ROOT_REL_TOL = 1e-14
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 _HALF_LARGEST = 0.5 * float(np.finfo(float).max)
@@ -198,8 +199,8 @@ def _integral_means(average: LipschitzAverage, lam: float, r: float) -> tuple[fl
             a1, m1, b1 = (lo ** lam) * a0, (mid ** lam) * m0, (hi ** lam) * b0
             w = (hi - lo) / 6.0
             w0, w1 = w * (a0 + 4.0 * m0 + b0), w * (a1 + 4.0 * m1 + b1)
-            t0 = QUADRATURE_REL_TOL * max(abs(w0), (hi - lo) * max(abs(a0), abs(m0), abs(b0)), 1e-300)
-            t1 = QUADRATURE_REL_TOL * max(abs(w1), (hi - lo) * max(abs(a1), abs(m1), abs(b1)), 1e-300)
+            t0 = _QUADRATURE_REL_TOL * max(abs(w0), (hi - lo) * max(abs(a0), abs(m0), abs(b0)), 1e-300)
+            t1 = _QUADRATURE_REL_TOL * max(abs(w1), (hi - lo) * max(abs(a1), abs(m1), abs(b1)), 1e-300)
             part0, part_lam = recurse(lo, hi, a0, a1, m0, m1, b0, b1, w0, w1, t0, t1, 48)
             int0 += part0
             int_lam += part_lam
@@ -341,15 +342,15 @@ def sup_radius(constants: ProblemConstants, average: LipschitzAverage) -> float:
     """R_bar = sup { r in (0, R) : gamma_0(r) * r < 1/beta }.
 
     The map r -> beta*gamma_0(r)*r is strictly increasing, so the sup is a
-    single root, found by ``_first_root`` from a seed below 1/(beta*L(0)),
-    which bounds it since gamma_0 >= L(0).
+    single root.  ``_first_root`` seeds it at its bound 1/(beta*L(0)), as the
+    non-decreasing L has gamma_0 >= L(0), and doubles a seed short by rounding.
     """
     beta = constants.beta
     if average.is_constant:
         return min(1.0 / (beta * average.constant_value), average.upper_limit)
     bl0 = beta * average(0.0)
     # with beta*L(0) = 0 there is no analytic cap; any positive seed grows fine
-    start = 1.0 / bl0 / 1024.0 if bl0 > 0 else 1.0 / beta
+    start = 1.0 / bl0 if bl0 > 0 else 1.0 / beta
     return _first_root(lambda r: beta * gamma_lambda(average, 0.0, r) * r - 1.0, -1.0,
                        min(start, 0.5 * average.upper_limit), average.upper_limit)
 
@@ -362,20 +363,18 @@ def r_bar_numeric(constants: ProblemConstants, average: LipschitzAverage,
     method brackets it to 1e-14 relative.  q rises only by 1 - h over
     [0, r_bar], so its rounding limits the root to about eps/(1 - h).  When
     q stays below 1 on the whole domain the sup radius itself is returned.
-    ``_sup`` is the sup radius when the caller already has it.
+    ``_sup`` is the sup radius when the caller already has it.  q rises with
+    gamma_0, gamma_1 and gamma_c, means of the non-decreasing L and so at
+    least L(0): the closed-form root for the constant L(0) bounds r_bar and
+    seeds the search, capped at R_bar*(1 - 1e-12).  It is only a seed: the
+    root found is q's own, and a seed short by rounding doubles the bracket.
     """
-    h, admissible = check_small_residual(constants, average(0.0))
-    if not admissible:
-        raise ConditionViolatedError(f"h={h:.6g} >= 1")
+    l_zero = average(0.0)
+    h = check_small_residual(constants, l_zero)[0]
+    start = r_bar_closed_form(constants, l_zero, mode)  # raises unless h < 1
     r_sup = sup_radius(constants, average) if _sup is None else _sup
-
-    def q_minus_one(r: float) -> float:
-        try:
-            return q_factor(constants, average, mode, r) - 1.0
-        except OutOfDomainError:
-            return math.inf
-
-    return _first_root(q_minus_one, h - 1.0, r_sup, r_sup)
+    return _first_root(lambda r: q_factor(constants, average, mode, r) - 1.0, h - 1.0,
+                       min(start, r_sup * (1.0 - 1e-12)), r_sup)
 
 
 def r_bar_closed_form(constants: ProblemConstants, l_const: float,

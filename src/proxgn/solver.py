@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import RankDeficientError, ShapeMismatchError, _require_full_rank, as_vector
+from .linalg import RankDeficientError, ShapeMismatchError, _as_vector, _require_full_rank
 from .prox import InnerConfig, Penalty, prox_metric
 
 __all__ = ["InsufficientDataError", "InvalidPointError", "IterationRecord",
@@ -155,7 +155,7 @@ def _gn_core(x: np.ndarray, f: np.ndarray, j: np.ndarray):
 
 def gauss_newton_point(problem: Problem, x) -> np.ndarray:
     """z = x - F'(x)^dag F(x), via a least-squares solve."""
-    xv = as_vector(x, problem.n)
+    xv = _as_vector(x, problem.n)
     return _gn_core(xv, *_evaluate(problem, xv))[0]
 
 
@@ -174,7 +174,7 @@ def prox_gn_step(
     (F, J) at ``x`` when known, replaced by (F, J) at the new iterate, or None
     where that is invalid.
     """
-    xv, carry = (as_vector(x, problem.n), {}) if _linearized is None else (x, _linearized)
+    xv, carry = (_as_vector(x, problem.n), {}) if _linearized is None else (x, _linearized)
     carry["fj"] = carry.get("fj") or _evaluate(problem, xv)
     f, j = carry["fj"]
     z, svals = _gn_core(xv, f, j)
@@ -206,7 +206,7 @@ def solve(problem: Problem, penalty: Penalty, x0, cfg: SolverConfig = SolverConf
     outside dom J is replaced by the penalty's start (a box clamps it) and
     flagged; every later iterate is a prox output, in dom J.
     """
-    x_checked = as_vector(x0, problem.n)
+    x_checked = _as_vector(x0, problem.n)
     x = penalty._start(x_checked)
     projected_start = x is not x_checked
 
@@ -253,7 +253,7 @@ def stationarity_residual(problem: Problem, penalty: Penalty, x) -> float:
     at x.  Custom prox: the fixed-point residual ||x - prox_J^H(x - F'(x)^dag
     F(x))||.
     """
-    xv = as_vector(x, problem.n)
+    xv = _as_vector(x, problem.n)
     return _stationarity_at(penalty, xv, *_evaluate(problem, xv))
 
 
@@ -273,7 +273,7 @@ def estimate_rate(
     number at least four, be distinct and decrease, otherwise
     InsufficientDataError is raised.
     """
-    target = as_vector(x_star)
+    target = _as_vector(x_star)
     cut = max(floor, 2.0 ** -49 * math.sqrt(target @ target))
     distances = [float(np.linalg.norm(rec.x - target)) for rec in trace]
     usable = [e for e in distances if e > cut]

@@ -1,8 +1,11 @@
+import ast
 import dataclasses
 import inspect
 
 import proxgn
 from proxgn import linalg, problems, prox, radius, solver
+
+MODULES = (linalg, prox, radius, solver, problems)
 
 # the private keyword hand-offs that bench/ passes to public functions
 PINNED_PRIVATE_PARAMETERS = {
@@ -33,10 +36,9 @@ def public_signatures():
 
 
 def test_each_public_name_is_listed_once_next_to_its_definition():
-    modules = (linalg, prox, radius, solver, problems)
-    assert proxgn.__all__ == [name for module in modules for name in module.__all__]
+    assert proxgn.__all__ == [name for module in MODULES for name in module.__all__]
     assert len(set(proxgn.__all__)) == len(proxgn.__all__)
-    for module in modules:
+    for module in MODULES:
         for name in module.__all__:
             obj = getattr(module, name)
             if inspect.isclass(obj) or inspect.isfunction(obj):
@@ -47,6 +49,25 @@ def test_each_public_name_is_listed_once_next_to_its_definition():
     star = {}
     exec("from proxgn import *", star)
     assert sorted(set(star) - {"__builtins__"}) == sorted(proxgn.__all__)
+
+
+def module_level_names(module):
+    """Names a module binds at its top level by assignment, ``def`` or ``class``;
+    imported names are not among them."""
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def test_every_public_module_level_name_is_listed():
+    for module in MODULES:
+        names = set(module_level_names(module))
+        assert "__all__" in names
+        unlisted = {n for n in names if not n.startswith("_")} - set(module.__all__)
+        assert unlisted == set(), module.__name__
 
 
 def test_private_parameters_are_only_the_pinned_hand_offs():

@@ -429,6 +429,58 @@ def test_constant_radius_matches_quadratic_roots_to_relative_accuracy():
             assert r_bar_numeric(c, avg, mode) == pytest.approx(want, rel=numeric_tol, abs=0)
 
 
+def _random_averages(rng):
+    """A callable L0 (1 + c u)^p and a random table, both unbounded."""
+    l0, c, p = 10.0 ** rng.uniform(-0.5, 0.5), 10.0 ** rng.uniform(-1.0, 1.0), rng.uniform(0.5, 3.0)
+    yield LipschitzAverage.from_callable(lambda u: l0 * (1.0 + c * u) ** p)
+    yield LipschitzAverage.tabulated(*_random_table(rng))
+
+
+def _h(alpha, beta, kappa, l_const):
+    return (SQRT2P1 * kappa + 1.0) * alpha * beta ** 2 * l_const
+
+
+def test_radii_lie_between_the_constant_bounds_of_their_search_seeds():
+    # L is non-decreasing, so on [0, r] every mean lies between L(0) and L(r):
+    # 1/(beta L(R_bar)) <= R_bar <= 1/(beta L(0)), and r_bar lies between the
+    # constant-L radii at L(r_bar) and L(0), here from the companion-matrix
+    # oracle rather than r_bar_closed_form
+    rng = np.random.default_rng(43)
+    slack = 1.0 + 1e-9
+    for _ in range(20):
+        for avg in _random_averages(rng):
+            l0 = avg(0.0)
+            _, beta, kappa, _ = _draw_constants(rng)
+            alpha = rng.uniform(0.0, 0.9999) / _h(1.0, beta, kappa, l0)
+            c = ProblemConstants(alpha=alpha, beta=beta, kappa=kappa)
+            r_sup = sup_radius(c, avg)
+            assert 1.0 / (beta * avg(r_sup)) <= r_sup * slack
+            assert r_sup <= slack / (beta * l0)
+            for mode in ("center", "radius"):
+                r_bar = r_bar_numeric(c, avg, LipschitzMode(mode))
+                assert r_bar <= quadratic_radius(alpha, beta, kappa, l0, mode) * slack
+                if _h(alpha, beta, kappa, avg(r_bar)) < 1.0:
+                    assert quadratic_radius(alpha, beta, kappa, avg(r_bar), mode) <= r_bar * slack
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_r_bar_search_seed_does_not_set_the_root(monkeypatch, factor):
+    # a seed below the root makes the bracket double, one above it only
+    # widens the bracket: either way the search solves q = 1 itself
+    rng = np.random.default_rng(44)
+    cases = []
+    for _ in range(5):
+        for avg in (LipschitzAverage.constant(10.0 ** rng.uniform(-0.5, 0.5)), *_random_averages(rng)):
+            _, beta, kappa, _ = _draw_constants(rng)
+            c = ProblemConstants(rng.uniform(0.0, 0.9) / _h(1.0, beta, kappa, avg(0.0)), beta, kappa)
+            for mode in (CENTER, RADIUS):
+                cases.append((c, avg, mode, r_bar_numeric(c, avg, mode)))
+    closed_form = radius.r_bar_closed_form
+    monkeypatch.setattr(radius, "r_bar_closed_form", lambda *args: factor * closed_form(*args))
+    for c, avg, mode, want in cases:
+        assert r_bar_numeric(c, avg, mode) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def _count_calls(monkeypatch, name, when=lambda *args: True) -> list:
     """Wrap ``radius.<name>``; the returned list grows by one per call matching ``when``."""
     calls = []
@@ -457,14 +509,14 @@ BUDGET_AVERAGES = {
 def test_r_bar_numeric_evaluation_budget(monkeypatch, kind, mode):
     q_calls = _count_calls(monkeypatch, "q_factor")
     r_bar_numeric(BUDGET_CONSTANTS, BUDGET_AVERAGES[kind], mode)
-    assert 0 < len(q_calls) <= 15
+    assert 0 < len(q_calls) <= 8
 
 
 @pytest.mark.parametrize("kind", ["callable", "tabulated"])
 def test_sup_radius_evaluation_budget(monkeypatch, kind):
     gamma_0_calls = _count_calls(monkeypatch, "gamma_lambda", lambda avg, lam, r: lam == 0.0)
     sup_radius(BUDGET_CONSTANTS, BUDGET_AVERAGES[kind])
-    assert 0 < len(gamma_0_calls) <= 25
+    assert 0 < len(gamma_0_calls) <= 8
 
 
 def test_convergence_radius_computes_sup_radius_once(monkeypatch):
@@ -516,7 +568,7 @@ def test_q_factor_makes_one_pass_over_the_average():
 # Evaluations of L in one center-mode convergence_radius at BUDGET_CONSTANTS
 # (sup radius, r_bar search): today's counts, so any growth fails.  One more
 # unconditional Simpson level roughly doubles them.
-L_EVALUATION_BUDGET = {"callable": 1693, "tabulated": 3968}
+L_EVALUATION_BUDGET = {"callable": 978, "tabulated": 2928}
 
 
 @pytest.mark.parametrize("kind", sorted(L_EVALUATION_BUDGET))
@@ -752,10 +804,20 @@ def test_sup_radius_past_the_float_range_raises_value_error():
 
 @pytest.mark.parametrize("values", [[1e-310, 1e-310], [1e308, 1.7e308]], ids=["tiny", "huge"])
 def test_sup_radius_bracket_outside_the_normal_range_raises(values):
-    # 1/(beta*L(0)) overflows to inf, or the seed 1/(beta*L(0))/1024 is subnormal
+    # 1/(beta*L(0)) overflows to inf, or the seed 1/(beta*L(0)) is subnormal
     avg = LipschitzAverage.tabulated([0.0, 1.0], values)
     with pytest.raises(ValueError, match="normal float range"):
         sup_radius(unit_constants(), avg)
+
+
+@pytest.mark.parametrize("l0", [1e150, 1e-150])
+def test_flat_table_far_from_unit_scale_keeps_the_closed_form(l0):
+    # the r_bar search starts at its upper bound, not next to 0, where r^2
+    # would underflow for beta*L(0) = 1e150
+    avg = LipschitzAverage.tabulated([0.0, 1.0], [l0, l0])
+    for mode in (CENTER, RADIUS):
+        want = r_bar_closed_form(unit_constants(), l0, mode)
+        assert r_bar_numeric(unit_constants(), avg, mode) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_sup_radius_root_below_the_normal_range_raises():

@@ -10,7 +10,8 @@ which control the contraction factor q(r) of the proximal Gauss-Newton
 fixed-point map around a minimizer with constants (alpha, beta, kappa).
 Since gamma_c = 2*gamma_0 - gamma_1, q(r) and the constants C1, C2 need only
 integral_0^r L and integral_0^r u L: one adaptive Simpson pass yields both
-from the same evaluations of L, so each radius point r costs one pass.
+from the same evaluations of L, so each radius point r costs one pass.  A
+pass for the sup radius R_bar, which needs integral_0^r L alone, makes no pair.
 The pass checks once that [0, r] lies in L's domain, then evaluates L's own
 function unchecked: every abscissa it forms lies in [0, r].
 The convergence radius r_bar is where q crosses 1, a root found by Brent's
@@ -152,7 +153,8 @@ def _integral_means(average: LipschitzAverage, lam: float, r: float) -> tuple[fl
     is accepted only when each meets its own relative tolerance.  The first
     few levels refine unconditionally: on kinked integrands the half-interval
     estimates can agree with the whole by cancellation while both are wrong,
-    so the acceptance test alone is not trustworthy early.
+    so the acceptance test alone is not trustworthy early.  At lam = 0 the
+    pair would repeat L bitwise, so the pass integrates L alone, same tree.
     """
     if not 0 <= r < average.upper_limit:
         raise OutOfDomainError(f"r={r} outside [0, {average.upper_limit})")
@@ -188,6 +190,19 @@ def _integral_means(average: LipschitzAverage, lam: float, r: float) -> tuple[fl
         y0, y1 = recurse(mid, hi, m0, m1, r0, r1, b0, b1, right0, right1, t0, t1, depth - 1)
         return x0 + y0, x1 + y1
 
+    # recurse's first component alone, for lam = 0
+    def recurse_l(lo, hi, a0, m0, b0, w0, t0, depth):
+        mid = 0.5 * (lo + hi)
+        l0, r0 = float(fn(0.5 * (lo + mid))), float(fn(0.5 * (mid + hi)))
+        left0, right0 = (mid - lo) / 6.0 * (a0 + 4.0 * l0 + m0), (hi - mid) / 6.0 * (m0 + 4.0 * r0 + b0)
+        e0 = left0 + right0 - w0
+        if depth <= 0 or (depth <= 44 and abs(e0) <= 15.0 * t0):
+            return left0 + right0 + e0 / 15.0
+        if not abs(e0) + abs(e0) < math.inf:
+            raise ValueError(f"the average is not finite on [{lo!r}, {hi!r}]")
+        return (recurse_l(lo, mid, a0, l0, m0, left0, 0.5 * t0, depth - 1)
+                + recurse_l(mid, hi, m0, r0, b0, right0, 0.5 * t0, depth - 1))
+
     knots = () if average.breakpoints is None else average.breakpoints
     cuts = [0.0] + [float(u) for u in knots if 0.0 < u < r] + [r]
     int0 = int_lam = 0.0
@@ -196,12 +211,15 @@ def _integral_means(average: LipschitzAverage, lam: float, r: float) -> tuple[fl
         for lo, hi in zip(cuts, cuts[1:]):
             mid = 0.5 * (lo + hi)
             a0, m0, b0 = float(fn(lo)), float(fn(mid)), float(fn(hi))
-            a1, m1, b1 = (lo ** lam) * a0, (mid ** lam) * m0, (hi ** lam) * b0
-            w = (hi - lo) / 6.0
-            w0, w1 = w * (a0 + 4.0 * m0 + b0), w * (a1 + 4.0 * m1 + b1)
+            w0 = (hi - lo) / 6.0 * (a0 + 4.0 * m0 + b0)
             t0 = _QUADRATURE_REL_TOL * max(abs(w0), (hi - lo) * max(abs(a0), abs(m0), abs(b0)), 1e-300)
-            t1 = _QUADRATURE_REL_TOL * max(abs(w1), (hi - lo) * max(abs(a1), abs(m1), abs(b1)), 1e-300)
-            part0, part_lam = recurse(lo, hi, a0, a1, m0, m1, b0, b1, w0, w1, t0, t1, 48)
+            if lam == 0.0:
+                part0 = part_lam = recurse_l(lo, hi, a0, m0, b0, w0, t0, 48)
+            else:
+                a1, m1, b1 = (lo ** lam) * a0, (mid ** lam) * m0, (hi ** lam) * b0
+                w1 = (hi - lo) / 6.0 * (a1 + 4.0 * m1 + b1)
+                t1 = _QUADRATURE_REL_TOL * max(abs(w1), (hi - lo) * max(abs(a1), abs(m1), abs(b1)), 1e-300)
+                part0, part_lam = recurse(lo, hi, a0, a1, m0, m1, b0, b1, w0, w1, t0, t1, 48)
             int0 += part0
             int_lam += part_lam
         return int0 / r, int_lam / (r ** (1.0 + lam))
@@ -366,15 +384,16 @@ def r_bar_numeric(constants: ProblemConstants, average: LipschitzAverage,
     ``_sup`` is the sup radius when the caller already has it.  q rises with
     gamma_0, gamma_1 and gamma_c, means of the non-decreasing L and so at
     least L(0): the closed-form root for the constant L(0) bounds r_bar and
-    seeds the search, capped at R_bar*(1 - 1e-12).  It is only a seed: the
-    root found is q's own, and a seed short by rounding doubles the bracket.
+    seeds the search, or R_bar does when it is at or past R_bar*(1 - 1e-12),
+    so a capped search evaluates q once.  It is only a seed: the root found is
+    q's own, and a seed short by rounding doubles the bracket.
     """
     l_zero = average(0.0)
     h = check_small_residual(constants, l_zero)[0]
     start = r_bar_closed_form(constants, l_zero, mode)  # raises unless h < 1
     r_sup = sup_radius(constants, average) if _sup is None else _sup
     return _first_root(lambda r: q_factor(constants, average, mode, r) - 1.0, h - 1.0,
-                       min(start, r_sup * (1.0 - 1e-12)), r_sup)
+                       start if start < r_sup * (1.0 - 1e-12) else r_sup, r_sup)
 
 
 def r_bar_closed_form(constants: ProblemConstants, l_const: float,

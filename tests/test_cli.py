@@ -307,6 +307,39 @@ class TestValidateCommand:
         assert "capped" in out
         assert status["prox.certificate"] == "PASS"
 
+    def test_prox_off_by_1e_7_fails_certificate(self, capsys, monkeypatch):
+        # moving the free coordinates by 1e-7 leaves a KKT gap near
+        # 1e-7 ||H||, far above the certificate's 1e-12 ||H||
+        from proxgn import prox
+
+        real = prox._bvls
+
+        def nudged(mat, z, start, box, cap):
+            point, k, converged = real(mat, z, start, box, cap)
+            free = (box.lower < point) & (point < box.upper)
+            return np.clip(point + 1e-7 * free, box.lower, box.upper), k, converged
+
+        monkeypatch.setattr(prox, "_bvls", nudged)
+        code, out = run_cli(["validate", "--filter", "prox.certificate"], capsys)
+        assert code == 1
+        assert self.statuses(out)["prox.certificate"] == "FAIL"
+
+    def test_jacobian_off_by_1e_3_fails_finite_difference_check(self, capsys, monkeypatch):
+        from proxgn import problems
+
+        real = problems.get_case
+
+        def skewed(name):
+            case = real(name)
+            jacobian = case.problem.jacobian
+            problem = dataclasses.replace(case.problem, jacobian=lambda x: jacobian(x) * (1.0 + 1e-3))
+            return dataclasses.replace(case, problem=problem)
+
+        monkeypatch.setattr(problems, "get_case", skewed)
+        code, out = run_cli(["validate", "--filter", "jacobian"], capsys)
+        assert code == 1
+        assert self.statuses(out)["jacobian.finite_difference"] == "FAIL"
+
     def test_error_fails_its_check(self, capsys, monkeypatch):
         from proxgn import RankDeficientError
 

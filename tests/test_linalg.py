@@ -51,6 +51,9 @@ def test_verify_penrose_cases():
     assert verify_penrose(np.eye(3), np.eye(3), 1e-12)
     a = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
     assert not verify_penrose(a, np.zeros((2, 3)), 1e-12)
+    # for A = 0 every P meets APA = A and both symmetry equations; only
+    # PAP = P rejects a nonzero P
+    assert not verify_penrose(np.zeros((3, 2)), np.ones((2, 3)), 1e-9)
     with pytest.raises(ShapeMismatchError):
         verify_penrose(a, np.zeros((3, 2)), 1e-9)
 

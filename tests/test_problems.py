@@ -155,6 +155,19 @@ class TestFiniteDifferences:
             analytic = case.problem.jacobian(x)
             assert operator_norm(fd - analytic) <= 1e-5 * max(operator_norm(analytic), 1e-12)
 
+    @pytest.mark.parametrize("name", sorted(TABLE))
+    def test_default_step_matches_analytic_to_1e_8(self, name):
+        # central differences err by about h^2 |F'''| + eps |F| / h: near
+        # 1e-9 relative at the default h = 1e-6, and 1e-3 at h = 1e-3
+        case = get_case(name)
+        rng = np.random.default_rng(31)
+        lo, up = case.box.lower, case.box.upper
+        for _ in range(20):
+            x = lo + rng.random(case.box.dimension) * (up - lo)
+            analytic = case.problem.jacobian(x)
+            fd = finite_diff_jacobian(case.problem, x)
+            assert operator_norm(fd - analytic) <= 1e-8 * operator_norm(analytic)
+
     @pytest.mark.parametrize("name", ["kowalik", "osborne1", "osborne2"])
     def test_jacobians_equal_column_formulas(self, name):
         # the Jacobians are filled block by block into one array; every

@@ -135,6 +135,21 @@ class TestProxMetric:
             want = exact_box_prox(a, z, box)
             assert np.linalg.norm(got.point - want) <= 10.0 * cfg.tolerance
 
+    def test_fixed_coordinates_match_enumeration_oracle(self):
+        # lower == upper fixes a coordinate: its multiplier may take either
+        # sign, and no active-set step may free it
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            a = random_conditioned(rng, 5, 3)
+            box = random_box(rng, 3)
+            fixed = rng.permutation(3) < rng.integers(1, 4)
+            value = rng.uniform(box.lower, box.upper)
+            box = Box(np.where(fixed, value, box.lower), np.where(fixed, value, box.upper))
+            z = rng.uniform(-2.0, 2.0, 3)
+            got = prox_metric(BoxIndicator(box), a, z).point
+            assert np.linalg.norm(got - exact_box_prox(a, z, box)) <= 1e-10
+            assert np.array_equal(got[fixed], value[fixed])
+
     def test_non_convergence_is_reported_not_raised(self):
         # the box projection as a custom prox runs the projected-gradient
         # loop; seed chosen so the full run needs ~94 inner iterations

@@ -380,6 +380,25 @@ def test_sup_radius_with_vanishing_l_at_zero():
     assert sup_radius(c, avg) == pytest.approx(1.0, rel=1e-10)
 
 
+def test_gamma_0_and_sup_radius_match_closed_forms_for_callable_averages():
+    # integral_0^r (1 + u)^p = ((1 + r)^(p+1) - 1) / (p + 1), so beta times it
+    # reaches 1 at R_bar = ((p + 1) / beta + 1)^(1 / (p + 1)) - 1; and
+    # 1 + s max(0, u - c), whose kink the pass is not told of, integrates to
+    # r + s max(0, r - c)^2 / 2.  These passes integrate L alone.
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        p, beta, r = rng.uniform(0.3, 3.0), 10.0 ** rng.uniform(-1.0, 1.0), rng.uniform(0.01, 3.0)
+        power = LipschitzAverage.from_callable(lambda u, p=p: (1.0 + u) ** p)
+        want = ((p + 1.0) / beta + 1.0) ** (1.0 / (p + 1.0)) - 1.0
+        assert sup_radius(ProblemConstants(0.0, beta, 1.0), power) == pytest.approx(want, rel=1e-12)
+        want = ((1.0 + r) ** (p + 1.0) - 1.0) / ((p + 1.0) * r)
+        assert gamma_lambda(power, 0.0, r) == pytest.approx(want, rel=1e-12)
+        c, s = rng.uniform(0.0, 1.0), rng.uniform(0.5, 20.0)
+        kinked = LipschitzAverage.from_callable(lambda u, c=c, s=s: 1.0 + s * max(0.0, u - c))
+        want = 1.0 + 0.5 * s * max(0.0, r - c) ** 2 / r
+        assert gamma_lambda(kinked, 0.0, r) == pytest.approx(want, rel=1e-12)
+
+
 def test_r_bar_numeric_matches_grid_search_nonconstant():
     # independent route: dense sampling of q on a fine grid brackets the
     # crossing of 1; bisection must land inside that bracket
@@ -517,6 +536,27 @@ def test_sup_radius_evaluation_budget(monkeypatch, kind):
     gamma_0_calls = _count_calls(monkeypatch, "gamma_lambda", lambda avg, lam, r: lam == 0.0)
     sup_radius(BUDGET_CONSTANTS, BUDGET_AVERAGES[kind])
     assert 0 < len(gamma_0_calls) <= 8
+
+
+@pytest.mark.parametrize("mode", [CENTER, RADIUS])
+def test_capped_r_bar_search_evaluates_q_once(monkeypatch, mode):
+    # R_bar is the domain end 0.05, below the closed-form seeds (0.275 and
+    # 0.438) for L(0) = 1, and q < 1 there: one q evaluation decides the cap
+    avg = LipschitzAverage.from_callable(lambda u: 1.0 + u, upper_limit=0.05)
+    q_calls = _count_calls(monkeypatch, "q_factor")
+    assert r_bar_numeric(unit_constants(), avg, mode) == 0.05
+    assert len(q_calls) == 1
+    assert convergence_radius(unit_constants(), avg, mode).r_bar_capped
+
+
+@pytest.mark.parametrize("offset, flagged", [(1e-6, True), (1e-12, False)])
+def test_closed_form_discrepancy_flags_a_relative_gap_above_1e_9(monkeypatch, offset, flagged):
+    c = ProblemConstants(alpha=0.01, beta=1.2, kappa=5.0)
+    root = quadratic_radius(c.alpha, c.beta, c.kappa, 1.0, "center")
+    monkeypatch.setattr(radius, "r_bar_numeric", lambda *args, **kwargs: root * (1.0 + offset))
+    summary = convergence_radius(c, LipschitzAverage.constant(1.0), CENTER)
+    assert summary.r_bar == root * (1.0 + offset)
+    assert summary.closed_form_discrepancy is flagged
 
 
 def test_convergence_radius_computes_sup_radius_once(monkeypatch):

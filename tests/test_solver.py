@@ -191,6 +191,20 @@ class TestSolve:
         assert report.status == SolveStatus.JACOBIAN_RANK_DEFICIENT
         assert report.trace == []
 
+    @pytest.mark.parametrize("ratio, status", [(1e-9, SolveStatus.CONVERGED),
+                                               (1e-11, SolveStatus.JACOBIAN_RANK_DEFICIENT)])
+    def test_rank_rule_sits_between_1e_9_and_1e_11(self, ratio, status):
+        # the rule certifies full rank while sigma_min / sigma_max > 1e-10;
+        # the exact linear problem A x = A 1 then steps to x = 1
+        a = np.diag([1.0, ratio])
+        report = solve(linear_problem(a, a @ np.ones(2)), ZeroPenalty(), np.zeros(2))
+        assert report.status == status
+        if status == SolveStatus.CONVERGED:
+            assert report.iterations >= 1
+            assert np.allclose(report.final_x, np.ones(2), rtol=0.0, atol=1e-6)
+        else:
+            assert report.trace == []
+
     def test_left_domain_status(self):
         problem = Problem(n=1, m=1,
                           residual=lambda x: x - 3.0,
@@ -236,6 +250,14 @@ class TestStationarity:
         problem = linear_problem(a, b)
         x_star = np.linalg.lstsq(a, b, rcond=None)[0]
         assert stationarity_residual(problem, ZeroPenalty(), x_star) <= 1e-10
+
+    def test_point_just_inside_a_bound_reads_the_full_gradient(self):
+        # x1 lies 1e-8 above its lower bound 0, not on it, so the gradient
+        # component x1 - b1 = 1 + 1e-8 that pushes x1 down violates in full
+        problem = linear_problem(np.eye(2), [-1.0, 0.5])
+        box = Box(np.zeros(2), np.ones(2))
+        value = stationarity_residual(problem, BoxIndicator(box), np.array([1e-8, 0.5]))
+        assert value == pytest.approx(1.0 + 1e-8, rel=1e-15, abs=0.0)
 
     def test_rosenbrock_reference_residual(self):
         # the printed reference is rounded to 5 digits; local curvature ~3e2

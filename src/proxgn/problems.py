@@ -5,6 +5,10 @@ osborne1, osborne2).  Two further cases (twoeq6, teneq1b) originate in an
 external constrained-equations library; only their dimensions, boxes,
 starting points and reference solutions are recorded here, so requesting
 them raises ExternalDefinitionUnavailableError.
+
+F and J at one point share their terms: a fit's residual keeps its quotients
+or exponentials for the last point, and its Jacobian reuses them at a point of
+the same dtype and bytes, so each formula is computed once per iterate.
 """
 from __future__ import annotations
 
@@ -67,38 +71,71 @@ def _rosenbrock_jacobian(x):
     return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
 
+class _LastTerms:
+    """Decorates terms(x), the x-dependent terms that a case's F and J share.
+
+    ``store(x)`` computes them for F and keeps them with x's bytes and dtype in
+    one tuple, so no thread sees them under another point's key; ``fetch(x)``
+    reuses them for J only when both match, so an x changed in place gets fresh ones.
+    """
+
+    def __init__(self, terms):
+        self._terms = terms
+        self._slot = (None, None, None)
+
+    def store(self, x):
+        x = np.asarray(x)
+        terms = self._terms(x)
+        self._slot = (x.tobytes(), x.dtype, terms)
+        return terms
+
+    def fetch(self, x):
+        x = np.asarray(x)
+        key, dtype, terms = self._slot
+        return terms if key == x.tobytes() and dtype == x.dtype else self._terms(x)
+
+
+@_LastTerms
+def _kowalik_terms(x):
+    num = _KOWALIK_U2 + _KOWALIK_U * x[1]
+    return num, _KOWALIK_U2 + _KOWALIK_U * x[2] + x[3], x[0] * num
+
+
 def _kowalik_residual(x):
-    u = _KOWALIK_U
-    return data.KOWALIK_Y - x[0] * (_KOWALIK_U2 + u * x[1]) / (_KOWALIK_U2 + u * x[2] + x[3])
+    _, den, scaled = _kowalik_terms.store(x)
+    return data.KOWALIK_Y - scaled / den
 
 
 def _kowalik_jacobian(x):
     u = _KOWALIK_U
-    num = _KOWALIK_U2 + u * x[1]
-    den = _KOWALIK_U2 + u * x[2] + x[3]
-    scaled, den2 = x[0] * num, den ** 2
+    num, den, scaled = _kowalik_terms.fetch(x)
+    den2 = den ** 2
     jac = np.empty((u.size, 4))
     jac[:, 0], jac[:, 1] = -num / den, -x[0] * u / den
     jac[:, 2], jac[:, 3] = scaled * u / den2, scaled / den2
     return jac
 
 
+@_LastTerms
+def _osborne1_terms(x):
+    return np.exp(-x[3] * _OSBORNE1_T), np.exp(-x[4] * _OSBORNE1_T)
+
+
 def _osborne1_residual(x):
-    return _OSBORNE1_Y - (x[0]
-                          + x[1] * np.exp(-x[3] * _OSBORNE1_T)
-                          + x[2] * np.exp(-x[4] * _OSBORNE1_T))
+    e1, e2 = _osborne1_terms.store(x)
+    return _OSBORNE1_Y - (x[0] + x[1] * e1 + x[2] * e2)
 
 
 def _osborne1_jacobian(x):
     t = _OSBORNE1_T
-    e1 = np.exp(-x[3] * t)
-    e2 = np.exp(-x[4] * t)
+    e1, e2 = _osborne1_terms.fetch(x)
     jac = np.empty((t.size, 5))
     jac[:, 0], jac[:, 1], jac[:, 2] = -1.0, -e1, -e2
     jac[:, 3], jac[:, 4] = x[1] * t * e1, x[2] * t * e2
     return jac
 
 
+@_LastTerms
 def _osborne2_terms(x):
     """exp(-t x[4]) and, in column k of each 65x3 block, t - x[8+k], its
     square and the Gaussian exp(-(t - x[8+k])^2 x[5+k])."""
@@ -108,13 +145,13 @@ def _osborne2_terms(x):
 
 
 def _osborne2_residual(x):
-    e0, _, _, g = _osborne2_terms(x)
+    e0, _, _, g = _osborne2_terms.store(x)
     return data.OSBORNE2_Y - (x[0] * e0 + x[1] * g[:, 0] + x[2] * g[:, 1] + x[3] * g[:, 2])
 
 
 def _osborne2_jacobian(x):
-    t = _OSBORNE2_T
-    e0, shift, square, g = _osborne2_terms(x)
+    t, x = _OSBORNE2_T, np.asarray(x)  # a list's x[1:4] does not multiply elementwise
+    e0, shift, square, g = _osborne2_terms.fetch(x)
     jac = np.empty((t.size, 11))
     jac[:, 0] = -e0
     jac[:, 1:4] = -g

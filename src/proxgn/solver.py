@@ -8,6 +8,9 @@ iteration reduces to classical Gauss-Newton.
 Each iterate is linearized once: F and J are evaluated once and factorized
 once, by the least-squares solve for the Gauss-Newton point, and are shared by
 the rank check, the box prox, the step record, the next step and the report.
+||F||^2 is formed once, by the finiteness check, and gives the record's
+residual norm and the report's objective.  A run ends as left_domain in the
+step that reaches an iterate whose F or J is not finite.
 
 Each array is checked once, where it enters: ``solve`` checks x0, ``_evaluate``
 every F and J, and ``_gn_core`` z and, by linalg's one rank rule, J's rank.
@@ -121,8 +124,8 @@ class SolveReport:
         return len(self.trace)
 
 
-def _evaluate(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and Jacobian at a valid point, with J and ||F||^2 checked finite.
+def _evaluate(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(F, J, ||F||^2) at a valid point, with J and ||F||^2 checked finite.
 
     Shapes that differ from the problem's (m, n) are a misdeclared problem, not
     a property of x, and raise ShapeMismatchError, which ``solve`` lets escape.
@@ -138,9 +141,9 @@ def _evaluate(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 f"residual/jacobian shapes {f.shape}/{j.shape} do not match "
                 f"({problem.m},)/({problem.m},{problem.n})"
             )
-        if not (math.isfinite(f @ f) and np.isfinite(j).all()):
+        if not (math.isfinite(squared_norm := f @ f) and np.isfinite(j).all()):
             raise InvalidPointError("residual norm or jacobian is not finite")
-    return f, j
+    return f, j, squared_norm
 
 
 def _gn_core(x: np.ndarray, f: np.ndarray, j: np.ndarray):
@@ -156,7 +159,7 @@ def _gn_core(x: np.ndarray, f: np.ndarray, j: np.ndarray):
 def gauss_newton_point(problem: Problem, x) -> np.ndarray:
     """z = x - F'(x)^dag F(x), via a least-squares solve."""
     xv = _as_vector(x, problem.n)
-    return _gn_core(xv, *_evaluate(problem, xv))[0]
+    return _gn_core(xv, *_evaluate(problem, xv)[:2])[0]
 
 
 def prox_gn_step(
@@ -171,18 +174,18 @@ def prox_gn_step(
     """One proximal Gauss-Newton step with its iteration record.
 
     ``_linearized`` is ``solve``'s hand-off and vouches for ``x``.  Its "fj" is
-    (F, J) at ``x`` when known, replaced by (F, J) at the new iterate, or None
-    where that is invalid.
+    (F, J, ||F||^2) at ``x`` when known, replaced by the same at the new
+    iterate, or None where that is invalid.
     """
     xv, carry = (_as_vector(x, problem.n), {}) if _linearized is None else (x, _linearized)
     carry["fj"] = carry.get("fj") or _evaluate(problem, xv)
-    f, j = carry["fj"]
+    f, j, _ = carry["fj"]
     z, svals = _gn_core(xv, f, j)
     outcome = prox_metric(penalty, j, z, cfg.inner, _svals=svals)
     x_next = outcome.point
     try:
         carry["fj"] = _evaluate(problem, x_next)
-        residual_norm = math.sqrt(carry["fj"][0] @ carry["fj"][0])
+        residual_norm = math.sqrt(carry["fj"][2])
     except InvalidPointError:
         carry["fj"] = None
         residual_norm = float("nan")
@@ -201,7 +204,8 @@ def solve(problem: Problem, penalty: Penalty, x0, cfg: SolverConfig = SolverConf
     The bound is ``max(outer_tolerance, 2^-49 ||x||)``; the second term,
     8 ulp(1) ||x||, is the rounding floor of a step at x.  The report status
     says why the run ended: convergence, iteration budget, numerical rank
-    loss of the Jacobian, or an iterate leaving the validity domain; a
+    loss of the Jacobian, or an iterate leaving the validity domain, which
+    includes a non-finite F or J there, even at the last allowed step; a
     residual or Jacobian of the wrong shape raises ShapeMismatchError.  A start
     outside dom J is replaced by the penalty's start (a box clamps it) and
     flagged; every later iterate is a prox output, in dom J.
@@ -227,14 +231,17 @@ def solve(problem: Problem, penalty: Penalty, x0, cfg: SolverConfig = SolverConf
         if record.step_norm < max(cfg.outer_tolerance, 2.0 ** -49 * math.sqrt(x @ x)):
             status = SolveStatus.CONVERGED
             break
+        if linearized["fj"] is None:
+            status = SolveStatus.LEFT_DOMAIN
+            break
 
     fj = linearized.get("fj")
     objective = stationarity = float("nan")
     if fj is not None:
-        objective = 0.5 * float(fj[0] @ fj[0])
+        objective = 0.5 * float(fj[2])
         # J^T F can overflow at a rank-loss exit; the stationarity is then inf
         with suppress(JacobianRankDeficientError), np.errstate(over="ignore", invalid="ignore"):
-            stationarity = _stationarity_at(penalty, x, *fj)
+            stationarity = _stationarity_at(penalty, x, *fj[:2])
     return SolveReport(status=status, final_x=x, trace=trace, objective=objective,
                        projected_start=projected_start, stationarity_residual=stationarity)
 
@@ -254,7 +261,7 @@ def stationarity_residual(problem: Problem, penalty: Penalty, x) -> float:
     F(x))||.
     """
     xv = _as_vector(x, problem.n)
-    return _stationarity_at(penalty, xv, *_evaluate(problem, xv))
+    return _stationarity_at(penalty, xv, *_evaluate(problem, xv)[:2])
 
 
 def estimate_rate(

@@ -91,6 +91,21 @@ MUTANTS = (
      'carry["fj"] = carry.get("fj") or _evaluate(problem, xv)',
      'carry["fj"] = _evaluate(problem, xv)',
      "prox_gn_step ignores solve's hand-off and evaluates F and J at each iterate twice"),
+    ("M37", "src/proxgn/problems.py",
+     "if key == x.tobytes() and dtype == x.dtype else",
+     "if terms is not None else",
+     "a case's Jacobian reuses the terms of the last residual without comparing points"),
+    ("M38", "src/proxgn/solver.py",
+     'residual_norm = math.sqrt(carry["fj"][2])',
+     "residual_norm = math.sqrt(f @ f)",
+     "a step records ||F|| at the previous iterate, not at the new one"),
+    ("M39", "src/proxgn/solver.py",
+     '        if linearized["fj"] is None:\n'
+     "            status = SolveStatus.LEFT_DOMAIN\n"
+     "            break\n",
+     "",
+     "solve goes on past an iterate whose F or J is not finite, and the next "
+     "step evaluates them there again"),
 )
 
 

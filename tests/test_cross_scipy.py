@@ -118,6 +118,31 @@ def test_benchmark_minimizers_match_trust_region(name):
     assert report.objective == pytest.approx(scipy_objective, rel=1e-8)
 
 
+def test_fixed_coordinate_solve_matches_reduced_bounded_least_squares():
+    # osborne2 with x[4] fixed at its reference value by lower == upper: the
+    # other ten coordinates must reach scipy's bounded minimizer of the
+    # ten-variable problem, and x[4] must not move
+    case, k = get_case("osborne2"), 4
+    lower, upper = case.box.lower.copy(), case.box.upper.copy()
+    lower[k] = upper[k] = case.reference_x[k]
+    free = np.arange(11) != k
+
+    def full(v):
+        x = case.reference_x.copy()
+        x[free] = v
+        return x
+
+    for x0 in sample_starts(case, 5, 7):
+        report = solve(case.problem, BoxIndicator(Box(lower, upper)), x0)
+        assert report.status == SolveStatus.CONVERGED
+        assert report.final_x[k] == case.reference_x[k]
+        ref = scipy.optimize.least_squares(
+            lambda v: case.problem.residual(full(v)), x0[free],
+            jac=lambda v: case.problem.jacobian(full(v))[:, free],
+            bounds=(lower[free], upper[free]), xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        assert np.max(np.abs(report.final_x[free] - ref.x)) <= 1e-6
+
+
 _KNOTS = np.linspace(0.0, 1.0 / 1.2, 9)
 
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -197,6 +200,86 @@ class TestFiniteDifferences:
                           validity=lambda x: x[0] < 1.0)
         with pytest.raises(InvalidPointError):
             finite_diff_jacobian(problem, np.array([1.0 - 1e-9]), 1e-6)
+
+
+def _widened_points(case, count, seed):
+    """Uniform points in the case box widened by its own width on each side."""
+    lo, up = case.box.lower, case.box.upper
+    rng = np.random.default_rng(seed)
+    return [lo - (up - lo) + 3.0 * rng.random(lo.size) * (up - lo) for _ in range(count)]
+
+
+def _cold_jacobian(problem, x, elsewhere):
+    """J at x after a residual at another point, so no shared term of x is kept."""
+    problem.residual(elsewhere)
+    return problem.jacobian(x)
+
+
+class TestSharedTerms:
+    # a case's residual keeps the terms it shares with the Jacobian for the
+    # jacobian call that follows; the Jacobian must not tell the difference
+
+    @pytest.mark.parametrize("name", sorted(TABLE))
+    def test_jacobian_after_residual_is_bitwise_cold(self, name):
+        problem = get_case(name).problem
+        points = _widened_points(get_case(name), 51, 41)
+        for x, elsewhere in zip(points[1:], points):
+            cold = _cold_jacobian(problem, x, elsewhere)
+            problem.residual(x)
+            assert problem.jacobian(x).tobytes() == cold.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(TABLE))
+    def test_point_changed_in_place_gets_fresh_terms(self, name):
+        problem = get_case(name).problem
+        rng = np.random.default_rng(43)
+        points = _widened_points(get_case(name), 51, 47)
+        for x, elsewhere in zip(points[1:], points):
+            problem.residual(x)
+            i = int(rng.integers(x.size))
+            x[i] = elsewhere[i]
+            changed = x.copy()
+            got = problem.jacobian(x)
+            assert got.tobytes() == _cold_jacobian(problem, changed, elsewhere + 1.0).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(TABLE))
+    def test_list_and_float_array_agree(self, name):
+        problem = get_case(name).problem
+        for x in _widened_points(get_case(name), 50, 53):
+            as_list = x.tolist()
+            f_list, j_list = problem.residual(as_list), problem.jacobian(as_list)
+            f_array, j_array = problem.residual(x), problem.jacobian(x)
+            assert f_list.tobytes() == f_array.tobytes()
+            assert j_list.tobytes() == j_array.tobytes()
+
+    @pytest.mark.parametrize("name", ["kowalik", "osborne1", "osborne2"])
+    def test_threads_never_read_terms_of_another_point(self, name):
+        # four threads switching every microsecond, each evaluating F then J
+        # at its own points, so another thread's F often lands in between
+        problem = get_case(name).problem
+        points = _widened_points(get_case(name), 24, 59)
+        cold = [_cold_jacobian(problem, x, x + 1.0).tobytes() for x in points]
+        mismatches, finished = [], []
+
+        def work(k):
+            for _ in range(20):
+                for i in range(k, len(points), 4):
+                    problem.residual(points[i])
+                    if problem.jacobian(points[i]).tobytes() != cold[i]:
+                        mismatches.append(i)
+            finished.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finished) == [0, 1, 2, 3] and mismatches == []
 
 
 def test_benchmark_case_validation():

@@ -525,6 +525,42 @@ def test_non_finite_values_at_second_iterate_end_left_domain(penalty, broken, va
     assert np.isnan(report.trace[0].residual_norm) and np.isnan(report.objective)
 
 
+@pytest.mark.parametrize("max_outer", [1, 5])
+def test_run_ends_in_the_step_that_reaches_a_non_finite_residual(max_outer):
+    # the step from 0 lands on 2, where F is not finite: the run ends there
+    # as left_domain, also when that step is the last one allowed, and F and
+    # J are not evaluated at 2 again
+    calls = Counter()
+
+    def residual(x):
+        calls["F"] += 1
+        return x - 2.0 if x[0] < 1.5 else np.array([np.inf])
+
+    def jacobian(x):
+        calls["J"] += 1
+        return np.array([[1.0]])
+
+    problem = Problem(n=1, m=1, residual=residual, jacobian=jacobian)
+    report = solve(problem, ZeroPenalty(), np.zeros(1), SolverConfig(max_outer=max_outer))
+    assert report.status == SolveStatus.LEFT_DOMAIN
+    assert len(report.trace) == 1 and report.trace[0].x.tolist() == [2.0]
+    assert np.isnan(report.trace[0].residual_norm) and np.isnan(report.objective)
+    assert calls == {"F": 2, "J": 2}
+
+
+@pytest.mark.parametrize("name", ["kowalik", "osborne2"])
+def test_record_residual_norm_is_the_norm_at_its_iterate(name):
+    # each record's residual norm is ||F|| at the record's own x, and the
+    # report's objective is half its square at the last one
+    case = get_case(name)
+    for x0 in sample_starts(case, 5, 7):
+        report = solve(case.problem, BoxIndicator(case.box), x0)
+        for rec in report.trace:
+            f = case.problem.residual(rec.x)
+            assert rec.residual_norm == np.sqrt(f @ f)
+        assert report.objective == 0.5 * float(f @ f)
+
+
 @pytest.mark.parametrize("penalty", [ZeroPenalty(),
                                      BoxIndicator(Box(np.array([-np.inf]), np.array([np.inf])))])
 def test_non_finite_gauss_newton_point_ends_left_domain(penalty):

@@ -25,16 +25,20 @@ from . import checks, linalg, problems, radius
 from .prox import BoxIndicator, InnerConfig, ZeroPenalty
 from .solver import SolveReport, SolveStatus, SolverConfig, solve
 
-CSV_TRACE_HEADER = "n,step_norm,residual_norm,inner_iterations,jacobian_condition"
+# (column, IterationRecord field) of each trace row, in JSON key and CSV column order
+TRACE_COLUMNS = (("n", "index"), ("step_norm", "step_norm"), ("residual_norm", "residual_norm"),
+                 ("inner_iterations", "inner_iterations"), ("jacobian_condition", "jacobian_condition"))
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="proxgn")
     defaults = SolverConfig()
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key = value file mirroring the flags")
+    common.add_argument("--output", help="write the report here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="run the solver on a benchmark case")
-    ps.add_argument("--config", help="key = value file mirroring the flags")
+    ps = sub.add_parser("solve", parents=[common], help="run the solver on a benchmark case")
     ps.add_argument("--case", help="built-in case name")
     ps.add_argument("--problem-file", help="python file defining make_case() -> BenchmarkCase")
     ps.add_argument("--penalty", choices=("box", "zero"), default="box")
@@ -47,11 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--max-inner", type=int, default=defaults.inner.max_iterations,
                     help="cap on the box prox's BVLS iterations")
     ps.add_argument("--format", choices=("json", "csv", "human"), default="human")
-    ps.add_argument("--output", help="write the report here instead of stdout")
     ps.add_argument("--trace", action="store_true", help="include per-iteration traces")
 
-    pr = sub.add_parser("radius", help="convergence-radius computations")
-    pr.add_argument("--config", help="key = value file mirroring the flags")
+    pr = sub.add_parser("radius", parents=[common], help="convergence-radius computations")
     pr.add_argument("--alpha", type=float, required=True)
     pr.add_argument("--beta", type=float, required=True)
     pr.add_argument("--kappa", type=float, required=True)
@@ -59,12 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--L-table", help="tabulated average as u:value,u:value,...")
     pr.add_argument("--mode", choices=("center", "radius"), default="center")
     pr.add_argument("--samples", type=int, default=20, help="number of (r, q(r)) samples")
-    pr.add_argument("--output", help="write the report here instead of stdout")
 
-    pv = sub.add_parser("validate", help="run the invariant self-checks")
-    pv.add_argument("--config", help="key = value file mirroring the flags")
+    pv = sub.add_parser("validate", parents=[common], help="run the invariant self-checks")
     pv.add_argument("--filter", help="run only checks whose name contains this")
-    pv.add_argument("--output", help="write the report here instead of stdout")
     return parser
 
 
@@ -115,6 +114,8 @@ def _load_case(args) -> problems.BenchmarkCase:
         if spec is None or spec.loader is None:
             raise problems.UnknownProblemError(f"cannot load {args.problem_file}")
         module = importlib.util.module_from_spec(spec)
+        # registered while it loads: a @dataclass under postponed annotations looks it up
+        sys.modules[spec.name] = module
         try:
             spec.loader.exec_module(module)
             if not callable(getattr(module, "make_case", None)):
@@ -125,6 +126,8 @@ def _load_case(args) -> problems.BenchmarkCase:
         except Exception as exc:
             raise problems.UnknownProblemError(
                 f"loading {args.problem_file} failed: {exc}") from exc
+        finally:
+            sys.modules.pop(spec.name, None)
         if not isinstance(case, problems.BenchmarkCase):
             raise problems.UnknownProblemError("make_case() must return a BenchmarkCase")
         return case
@@ -151,16 +154,7 @@ def _aggregate(results: list[tuple[np.ndarray, SolveReport]]):
 
 
 def _trace_rows(report: SolveReport):
-    return [
-        {
-            "n": rec.index,
-            "step_norm": rec.step_norm,
-            "residual_norm": rec.residual_norm,
-            "inner_iterations": rec.inner_iterations,
-            "jacobian_condition": rec.jacobian_condition,
-        }
-        for rec in report.trace
-    ]
+    return [{column: getattr(rec, field) for column, field in TRACE_COLUMNS} for rec in report.trace]
 
 
 def _json_report(args, case_name, results, cfg: SolverConfig, seed) -> str:
@@ -197,13 +191,10 @@ def _json_report(args, case_name, results, cfg: SolverConfig, seed) -> str:
 
 
 def _csv_report(results) -> str:
-    lines = [CSV_TRACE_HEADER]
+    lines = [",".join(column for column, _ in TRACE_COLUMNS)]
     for _, report in results:
         for row in _trace_rows(report):
-            lines.append(
-                f"{row['n']},{row['step_norm']!r},{row['residual_norm']!r},"
-                f"{row['inner_iterations']},{row['jacobian_condition']!r}"
-            )
+            lines.append(",".join(repr(value) for value in row.values()))
     return "\n".join(lines) + "\n"
 
 

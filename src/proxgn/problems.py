@@ -6,9 +6,9 @@ external constrained-equations library; only their dimensions, boxes,
 starting points and reference solutions are recorded here, so requesting
 them raises ExternalDefinitionUnavailableError.
 
-F and J at one point share their terms: a fit's residual keeps its quotients
-or exponentials for the last point, and its Jacobian reuses them at a point of
-the same dtype and bytes, so each formula is computed once per iterate.
+F and J at one point share their terms: a fit keeps its quotients or
+exponentials for the last point, and its residual and Jacobian reuse them at a
+point of the same dtype and bytes, so each formula is computed once per iterate.
 """
 from __future__ import annotations
 
@@ -74,25 +74,24 @@ def _rosenbrock_jacobian(x):
 class _LastTerms:
     """Decorates terms(x), the x-dependent terms that a case's F and J share.
 
-    ``store(x)`` computes them for F and keeps them with x's bytes and dtype in
-    one tuple, so no thread sees them under another point's key; ``fetch(x)``
-    reuses them for J only when both match, so an x changed in place gets fresh ones.
+    A call reuses the terms it kept when x's bytes and dtype match their key,
+    so an x changed in place gets fresh ones; otherwise it computes them and
+    keeps them with that key in one tuple, so no thread sees them under
+    another point's key.
     """
 
     def __init__(self, terms):
         self._terms = terms
         self._slot = (None, None, None)
 
-    def store(self, x):
-        x = np.asarray(x)
-        terms = self._terms(x)
-        self._slot = (x.tobytes(), x.dtype, terms)
-        return terms
-
-    def fetch(self, x):
+    def __call__(self, x):
         x = np.asarray(x)
         key, dtype, terms = self._slot
-        return terms if key == x.tobytes() and dtype == x.dtype else self._terms(x)
+        here = x.tobytes()
+        if key != here or dtype != x.dtype:
+            terms = self._terms(x)
+            self._slot = (here, x.dtype, terms)
+        return terms
 
 
 @_LastTerms
@@ -102,13 +101,13 @@ def _kowalik_terms(x):
 
 
 def _kowalik_residual(x):
-    _, den, scaled = _kowalik_terms.store(x)
+    _, den, scaled = _kowalik_terms(x)
     return data.KOWALIK_Y - scaled / den
 
 
 def _kowalik_jacobian(x):
     u = _KOWALIK_U
-    num, den, scaled = _kowalik_terms.fetch(x)
+    num, den, scaled = _kowalik_terms(x)
     den2 = den ** 2
     jac = np.empty((u.size, 4))
     jac[:, 0], jac[:, 1] = -num / den, -x[0] * u / den
@@ -122,13 +121,13 @@ def _osborne1_terms(x):
 
 
 def _osborne1_residual(x):
-    e1, e2 = _osborne1_terms.store(x)
+    e1, e2 = _osborne1_terms(x)
     return _OSBORNE1_Y - (x[0] + x[1] * e1 + x[2] * e2)
 
 
 def _osborne1_jacobian(x):
     t = _OSBORNE1_T
-    e1, e2 = _osborne1_terms.fetch(x)
+    e1, e2 = _osborne1_terms(x)
     jac = np.empty((t.size, 5))
     jac[:, 0], jac[:, 1], jac[:, 2] = -1.0, -e1, -e2
     jac[:, 3], jac[:, 4] = x[1] * t * e1, x[2] * t * e2
@@ -145,13 +144,13 @@ def _osborne2_terms(x):
 
 
 def _osborne2_residual(x):
-    e0, _, _, g = _osborne2_terms.store(x)
+    e0, _, _, g = _osborne2_terms(x)
     return data.OSBORNE2_Y - (x[0] * e0 + x[1] * g[:, 0] + x[2] * g[:, 1] + x[3] * g[:, 2])
 
 
 def _osborne2_jacobian(x):
     t, x = _OSBORNE2_T, np.asarray(x)  # a list's x[1:4] does not multiply elementwise
-    e0, shift, square, g = _osborne2_terms.fetch(x)
+    e0, shift, square, g = _osborne2_terms(x)
     jac = np.empty((t.size, 11))
     jac[:, 0] = -e0
     jac[:, 1:4] = -g

@@ -204,22 +204,25 @@ def prox_metric(penalty: Penalty, a, z, cfg: InnerConfig = InnerConfig(), *,
                 _svals: np.ndarray | None = None) -> ProxOutcome:
     """prox_J^H(z) for H = A^T A, A with full column rank.
 
-    A singular A raises RankDeficientError for every penalty.  The penalty's
-    ``_prox`` hook does the rest; a box penalty returns a feasible z
-    unchanged with zero inner iterations, and a custom penalty's loop steps
-    by sigma = 1/||H|| = 1/sigma_max(A)^2.  Non-convergence within the
-    iteration budget is reported through ``converged``, never raised.
-    ``_svals``, the singular values of ``a`` from a caller that has
-    factorized ``a`` and so checked it and ``z``, spares a second
-    factorization and both checks: the returned point may then be ``z``
-    itself.  Without it ``z`` is copied.
+    A singular A (sigma_min(A) = 0) raises RankDeficientError for every
+    penalty.  The penalty's ``_prox`` hook does the rest; a box penalty
+    returns a feasible z unchanged with zero inner iterations, and a custom
+    penalty's loop steps by sigma = 1/||H|| = 1/sigma_max(A)^2.
+    Non-convergence within the iteration budget is reported through
+    ``converged``, never raised.  ``_svals``, the singular values of ``a``
+    from a caller that has checked ``z`` and ``a``'s rank by linalg's rank
+    rule, which is stricter, goes to the hook with ``a`` and ``z`` as they
+    are, unchecked: the point may then be ``z`` itself.  Without it ``z`` is
+    copied.
     """
-    mat, point = (a, z) if _svals is not None else (_as_matrix(a), _as_vector(z).copy())
+    if _svals is not None:
+        return penalty._prox(a, z, _svals, cfg)
+    mat, point = _as_matrix(a), _as_vector(z).copy()
     if point.shape[0] != mat.shape[1]:
         raise ShapeMismatchError(
             f"point has length {point.shape[0]}, metric expects {mat.shape[1]}"
         )
-    svals = np.linalg.svd(mat, compute_uv=False) if _svals is None else _svals
+    svals = np.linalg.svd(mat, compute_uv=False)
     if svals[-1] == 0.0:
         raise RankDeficientError("metric matrix A^T A is singular")
     return penalty._prox(mat, point, svals, cfg)

@@ -304,18 +304,19 @@ def q_factor(constants: ProblemConstants, average: LipschitzAverage,
 def _first_root(f: Callable[[float], float], f0: float, start: float, cap: float) -> float:
     """First root of f on (0, cap) from f0 = f(0) < 0; cap when f < 0 up to it.
 
-    The bracket's upper end doubles from ``start`` until f >= 0 there, held
-    at cap*(1 - 1e-12) once it reaches cap.  Brent's method (1973) as in
+    The bracket's upper end doubles from ``start`` until f >= 0 there; an end
+    at or past cap*(1 - 1e-12), the seed included, is capped: held there, so
+    f is evaluated there once.  Brent's method (1973) as in
     scipy's brentq then starts from the last two values: secant or inverse
     quadratic steps, or bisection whenever a step would not halve the one
     before last, until the bracket is narrower than _ROOT_REL_TOL of the
     root.  A bracket with no finite upper end, or one below the smallest
     normal number, where no relative tolerance holds, raises ValueError.
     """
-    pre, fpre, cur = 0.0, f0, start
+    pre, fpre, cur, edge = 0.0, f0, start, cap * (1.0 - 1e-12)
     while True:
-        capped = cur >= cap
-        cur = cap * (1.0 - 1e-12) if capped else cur
+        capped = cur >= edge
+        cur = edge if capped else cur
         if not _SMALLEST_NORMAL <= cur < math.inf:
             raise ValueError(f"the root bracket [0, {cur!r}] leaves the normal float range")
         fcur = f(cur)
@@ -384,16 +385,15 @@ def r_bar_numeric(constants: ProblemConstants, average: LipschitzAverage,
     ``_sup`` is the sup radius when the caller already has it.  q rises with
     gamma_0, gamma_1 and gamma_c, means of the non-decreasing L and so at
     least L(0): the closed-form root for the constant L(0) bounds r_bar and
-    seeds the search, or R_bar does when it is at or past R_bar*(1 - 1e-12),
-    so a capped search evaluates q once.  It is only a seed: the root found is
-    q's own, and a seed short by rounding doubles the bracket.
+    seeds the search, which holds a seed near R_bar at its cap.  It is only a
+    seed: the root found is q's own, and a seed short by rounding doubles the
+    bracket.
     """
     l_zero = average(0.0)
     h = check_small_residual(constants, l_zero)[0]
     start = r_bar_closed_form(constants, l_zero, mode)  # raises unless h < 1
     r_sup = sup_radius(constants, average) if _sup is None else _sup
-    return _first_root(lambda r: q_factor(constants, average, mode, r) - 1.0, h - 1.0,
-                       start if start < r_sup * (1.0 - 1e-12) else r_sup, r_sup)
+    return _first_root(lambda r: q_factor(constants, average, mode, r) - 1.0, h - 1.0, start, r_sup)
 
 
 def r_bar_closed_form(constants: ProblemConstants, l_const: float,

@@ -88,9 +88,10 @@ class SolverConfig:
 class IterationRecord:
     """One outer step: the new iterate and the step's diagnostics.
 
-    ``gn_point_feasible``: the prox took no inner iteration, as the
-    Gauss-Newton point was its own prox.  ``prox_converged`` is False when
-    the prox stopped at its inner iteration cap, so the iterate is inexact.
+    ``gn_point_feasible``, derived from ``inner_iterations``: the prox took no
+    inner iteration, as the Gauss-Newton point was its own prox.
+    ``prox_converged`` is False when the prox stopped at its inner iteration
+    cap, so the iterate is inexact.
     """
 
     index: int
@@ -99,8 +100,11 @@ class IterationRecord:
     step_norm: float
     jacobian_condition: float
     inner_iterations: int
-    gn_point_feasible: bool
     prox_converged: bool = True
+
+    @property
+    def gn_point_feasible(self) -> bool:
+        return self.inner_iterations == 0
 
 
 class SolveStatus(str, Enum):
@@ -194,8 +198,7 @@ def prox_gn_step(
         index=index, x=x_next, residual_norm=residual_norm,
         step_norm=math.sqrt(step @ step),
         jacobian_condition=float(svals[0] / svals[-1]),
-        inner_iterations=outcome.inner_iterations, gn_point_feasible=outcome.inner_iterations == 0,
-        prox_converged=outcome.converged)
+        inner_iterations=outcome.inner_iterations, prox_converged=outcome.converged)
 
 
 def solve(problem: Problem, penalty: Penalty, x0, cfg: SolverConfig = SolverConfig()) -> SolveReport:

@@ -5,9 +5,9 @@
 
 pytest does not collect this file (its name does not start with ``test_``).
 Each mutant replaces one snippet, which must occur exactly once, in one file
-of a temporary copy of ``src/`` and ``tests/``.  Tier-1 then runs in that copy
-with ``-x`` and the two documented acceptance failures deselected; the mutant
-is killed when pytest fails.  The probe first runs the unmutated copy, which
+of a temporary copy of ``src/``, ``tests/`` and README.md, whose examples a
+test runs.  Tier-1 then runs in that copy with ``-x`` and the two documented
+acceptance failures deselected; the mutant is killed when pytest fails.  The probe first runs the unmutated copy, which
 must pass.  It prints one line per mutant and the kill count.  A survivor
 that no input can tell apart from the original says so in its reason.
 """
@@ -80,9 +80,10 @@ MUTANTS = (
      "            return left0 + right0\n        if not abs(e0) + abs(e0)",
      "the L-only pass drops its Richardson correction e0 / 15"),
     ("M34", "src/proxgn/radius.py",
-     "start if start < r_sup * (1.0 - 1e-12) else r_sup, r_sup)",
-     "min(start, r_sup * (1.0 - 1e-12)), r_sup)",
-     "a capped r_bar search seeds below the cap and evaluates q there twice"),
+     "capped = cur >= edge",
+     "capped = cur >= cap",
+     "_first_root does not hold a seed within 1e-12 of the cap as capped, so a "
+     "capped r_bar search evaluates q twice"),
     ("M35", "src/proxgn/solver.py",
      "step, _, _, svals = np.linalg.lstsq(j, f, rcond=None)",
      "step, _, _, svals = np.linalg.lstsq(j, f, rcond=None) and np.linalg.lstsq(j, f, rcond=None)",
@@ -92,9 +93,9 @@ MUTANTS = (
      'carry["fj"] = _evaluate(problem, xv)',
      "prox_gn_step ignores solve's hand-off and evaluates F and J at each iterate twice"),
     ("M37", "src/proxgn/problems.py",
-     "if key == x.tobytes() and dtype == x.dtype else",
-     "if terms is not None else",
-     "a case's Jacobian reuses the terms of the last residual without comparing points"),
+     "if key != here or dtype != x.dtype:",
+     "if terms is None:",
+     "a case's F and J reuse the kept terms without comparing points"),
     ("M38", "src/proxgn/solver.py",
      'residual_norm = math.sqrt(carry["fj"][2])',
      "residual_norm = math.sqrt(f @ f)",
@@ -106,6 +107,14 @@ MUTANTS = (
      "",
      "solve goes on past an iterate whose F or J is not finite, and the next "
      "step evaluates them there again"),
+    ("M40", "src/proxgn/cli.py",
+     '("step_norm", "step_norm"), ("residual_norm", "residual_norm")',
+     '("residual_norm", "residual_norm"), ("step_norm", "step_norm")',
+     "the trace columns step_norm and residual_norm change places"),
+    ("M41", "src/proxgn/solver.py",
+     "return self.inner_iterations == 0",
+     "return self.inner_iterations <= 1",
+     "gn_point_feasible also counts a prox that took one inner iteration"),
 )
 
 
@@ -136,7 +145,8 @@ def main(argv: list[str]) -> int:
         ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tree / part, ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", tree)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, tree)
         baseline = run_tier1(tree)
         if baseline.returncode != 0:
             print(f"unmutated tree fails tier-1: {summary(baseline)}", file=sys.stderr)

@@ -4,8 +4,8 @@ These deliberately use different algorithms from the package: dense
 normal-equation solves for pseudoinverses, power iteration for spectral
 norms, grid + golden-section scans for one-dimensional proxes,
 active-set enumeration for box-constrained quadratics, companion-matrix
-eigenvalues for the constant-L convergence radius, and fixed Gauss-Legendre
-rules for the integral means.
+eigenvalues for the constant-L convergence radius, fixed Gauss-Legendre
+rules for the integral means, and closed forms for Smale's gamma-average.
 """
 from __future__ import annotations
 
@@ -204,3 +204,25 @@ def gauss_legendre_means(average, r: float, knots=()) -> tuple[float, float, flo
         i1 += float(ws @ (us * ls))
         ic += float(ws @ ((2.0 * r - us) * ls))
     return i0 / r, i1 / r ** 2, ic / r ** 2
+
+
+def smale_gamma_average(gamma: float):
+    """Smale's gamma-average L(u) = 2 gamma / (1 - gamma u)^3 on [0, 1/gamma), with
+    its integral means and sup radius in closed form; L has a pole at 1/gamma.
+
+    Returns (L, means, sup_radius): ``means(r)`` is (gamma_0(r), gamma_1(r)) =
+    (gamma (2 - gamma r), gamma) / (1 - gamma r)^2, and since beta gamma_0(r) r =
+    beta ((1 - gamma r)^-2 - 1), ``sup_radius(beta)`` is
+    (1 - (1 + 1/beta)^(-1/2)) / gamma.
+    """
+    def average(u):
+        return 2.0 * gamma / (1.0 - gamma * u) ** 3
+
+    def means(r):
+        gap2 = (1.0 - gamma * r) ** 2
+        return gamma * (2.0 - gamma * r) / gap2, gamma / gap2
+
+    def sup_radius(beta):
+        return (1.0 - (1.0 + 1.0 / beta) ** -0.5) / gamma
+
+    return average, means, sup_radius

@@ -427,6 +427,23 @@ class TestRobustness:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_problem_file_with_a_dataclass_under_postponed_annotations(self, tmp_path, capsys):
+        # dataclass resolves the string annotations through sys.modules[cls.__module__]
+        path = tmp_path / "dataclass_case.py"
+        path.write_text(
+            "from __future__ import annotations\n\n"
+            "from dataclasses import dataclass\n\n"
+            "from proxgn import get_case\n\n\n"
+            "@dataclass\n"
+            "class Setting:\n"
+            "    name: str\n\n\n"
+            "def make_case():\n"
+            "    return get_case(Setting('rosenbrock').name)\n")
+        code, out = run_cli(["solve", "--problem-file", str(path), "--x0", "0.5,0.5",
+                             "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["starts"][0]["status"] == "converged"
+
     def test_problem_file_without_a_python_suffix_exit_3(self, tmp_path, capsys):
         path = tmp_path / "case.txt"
         path.write_text("def make_case():\n    return None\n")

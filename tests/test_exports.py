@@ -7,7 +7,8 @@ from proxgn import linalg, problems, prox, radius, solver
 
 MODULES = (linalg, prox, radius, solver, problems)
 
-# the private keyword hand-offs that bench/ passes to public functions
+# the private keyword hand-offs that solve and convergence_radius pass to public
+# functions; bench/ only patches the functions that receive them
 PINNED_PRIVATE_PARAMETERS = {
     ("prox_gn_step", "_linearized"),
     ("prox_metric", "_svals"),

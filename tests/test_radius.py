@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import gauss_legendre_means, quadratic_radius
+from oracles import gauss_legendre_means, quadratic_radius, smale_gamma_average
 from proxgn import radius
 from proxgn import (
     ConditionViolatedError,
@@ -141,6 +141,16 @@ class TestGammas:
                 if pr > 0:
                     assert r * r * g1 > pr * pr * p1
             prev = (g0, g1, gc, r)
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 5.0])
+    def test_smale_gamma_average_means_match_closed_form(self, gamma):
+        # L has a pole at the end of its domain 1/gamma, where the means blow up
+        fn, means, _ = smale_gamma_average(gamma)
+        avg = LipschitzAverage.from_callable(fn, upper_limit=1.0 / gamma)
+        for r in np.linspace(0.0, 0.99 / gamma, 12):
+            want0, want1 = means(r)
+            assert gamma_lambda(avg, 0.0, r) == pytest.approx(want0, rel=1e-10, abs=0)
+            assert gamma_lambda(avg, 1.0, r) == pytest.approx(want1, rel=1e-10, abs=0)
 
     def test_strictly_increasing_for_strict_average(self):
         avg = LipschitzAverage.from_callable(lambda u: 1.0 + u)
@@ -399,6 +409,14 @@ def test_gamma_0_and_sup_radius_match_closed_forms_for_callable_averages():
         assert gamma_lambda(kinked, 0.0, r) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("gamma", [0.3, 1.0, 5.0])
+@pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
+def test_sup_radius_of_smale_gamma_average_matches_closed_form(gamma, beta):
+    fn, _, want = smale_gamma_average(gamma)
+    avg = LipschitzAverage.from_callable(fn, upper_limit=1.0 / gamma)
+    assert sup_radius(ProblemConstants(0.0, beta, 1.0), avg) == pytest.approx(want(beta), rel=1e-12)
+
+
 def test_r_bar_numeric_matches_grid_search_nonconstant():
     # independent route: dense sampling of q on a fine grid brackets the
     # crossing of 1; bisection must land inside that bracket
@@ -547,6 +565,19 @@ def test_capped_r_bar_search_evaluates_q_once(monkeypatch, mode):
     assert r_bar_numeric(unit_constants(), avg, mode) == 0.05
     assert len(q_calls) == 1
     assert convergence_radius(unit_constants(), avg, mode).r_bar_capped
+
+
+@pytest.mark.parametrize("mode", [CENTER, RADIUS])
+def test_seed_within_1e_12_of_r_bar_cap_counts_as_capped(monkeypatch, mode):
+    # a constant-valued callable has q = the constant q, whose root, the
+    # closed-form seed, lies 5e-13 below the domain end R_bar: q < 1 at the
+    # cap point R_bar (1 - 1e-12), so one q evaluation decides the cap
+    seed = r_bar_closed_form(unit_constants(), 1.0, mode)
+    end = seed * (1.0 + 5e-13)
+    avg = LipschitzAverage.from_callable(lambda u: 1.0, upper_limit=end)
+    q_calls = _count_calls(monkeypatch, "q_factor")
+    assert r_bar_numeric(unit_constants(), avg, mode) == end
+    assert len(q_calls) == 1
 
 
 @pytest.mark.parametrize("offset, flagged", [(1e-6, True), (1e-12, False)])

@@ -57,7 +57,7 @@ def rosenbrock_problem():
 def synthetic_record(index, x):
     return IterationRecord(index=index, x=np.asarray(x, float), residual_norm=0.0,
                            step_norm=0.0, jacobian_condition=1.0,
-                           inner_iterations=0, gn_point_feasible=True)
+                           inner_iterations=0)
 
 
 class TestGaussNewtonPoint:
